@@ -1,21 +1,20 @@
 //! E12 (ablation): the exact-prefix attribute index.
 //!
-//! Literal destination patterns can be answered from a per-space inverted
+//! Literal destination patterns are answered from a per-space inverted
 //! index instead of the NFA walk. This bench compares indexed vs unindexed
 //! resolution across library sizes — the design-choice ablation DESIGN.md
-//! calls out for the linear resolve cost E2/E11 expose.
+//! calls out for the linear resolve cost E2/E11 expose. The coordinator,
+//! `ShardedRegistry`, always indexes literal patterns, so the unindexed
+//! column resolves a one-word alternation: the same language, but not
+//! literal, so it takes the NFA walk.
 
 use actorspace_atoms::path;
-use actorspace_core::{policy::ManagerPolicy, ActorId, Registry, Route, SpaceId};
+use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry, SpaceId};
 use actorspace_pattern::{pattern, Pattern};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn build(n: usize, use_index: bool) -> (Registry<u64>, SpaceId) {
-    let policy = ManagerPolicy {
-        use_literal_index: use_index,
-        ..Default::default()
-    };
-    let mut reg: Registry<u64> = Registry::new(policy);
+fn build(n: usize) -> (ShardedRegistry<u64>, SpaceId) {
+    let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let space = reg.create_space(None);
     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
     for i in 0..n {
@@ -37,27 +36,32 @@ fn bench_index_ablation(c: &mut Criterion) {
     g.sample_size(30);
     for n in [1_000usize, 10_000] {
         let exact = Pattern::parse("srv/class-1/inst-1").unwrap();
+        let walked = pattern("{srv/class-1/inst-1, srv/class-1/inst-1}");
         let missing = Pattern::parse("srv/class-1/inst-absent").unwrap();
         let wildcard = pattern("srv/class-1/*");
-        let (indexed, si) = build(n, true);
-        let (unindexed, su) = build(n, false);
+        let (reg, s) = build(n);
+        assert!(exact.as_literal().is_some() && walked.as_literal().is_none());
+        assert_eq!(
+            reg.resolve(&exact, s).unwrap(),
+            reg.resolve(&walked, s).unwrap()
+        );
         g.bench_with_input(BenchmarkId::new("exact_indexed", n), &n, |b, _| {
             b.iter(|| {
-                assert_eq!(indexed.resolve(&exact, si).unwrap().len(), 1);
+                assert_eq!(reg.resolve(&exact, s).unwrap().len(), 1);
             });
         });
         g.bench_with_input(BenchmarkId::new("exact_unindexed", n), &n, |b, _| {
             b.iter(|| {
-                assert_eq!(unindexed.resolve(&exact, su).unwrap().len(), 1);
+                assert_eq!(reg.resolve(&walked, s).unwrap().len(), 1);
             });
         });
         g.bench_with_input(BenchmarkId::new("miss_indexed", n), &n, |b, _| {
             b.iter(|| {
-                assert!(indexed.resolve(&missing, si).unwrap().is_empty());
+                assert!(reg.resolve(&missing, s).unwrap().is_empty());
             });
         });
         g.bench_with_input(BenchmarkId::new("wildcard_either", n), &n, |b, _| {
-            b.iter(|| indexed.resolve(&wildcard, si).unwrap());
+            b.iter(|| reg.resolve(&wildcard, s).unwrap());
         });
     }
     g.finish();

@@ -6,14 +6,14 @@
 //! reachability problem only.
 
 use actorspace_atoms::path;
-use actorspace_core::{policy::ManagerPolicy, ActorId, Registry, Route, ROOT_SPACE};
+use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry, ROOT_SPACE};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 /// Builds `spaces` spaces × `actors_per_space` actors. `live_fraction` of
 /// the spaces are anchored to the root (their members survive); the rest
 /// are garbage.
-fn population(spaces: usize, actors_per_space: usize, live_fraction: f64) -> Registry<u64> {
-    let mut r: Registry<u64> = Registry::new(ManagerPolicy::default());
+fn population(spaces: usize, actors_per_space: usize, live_fraction: f64) -> ShardedRegistry<u64> {
+    let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
     let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
     for s in 0..spaces {
         let space = r.create_space(None);
@@ -52,7 +52,7 @@ fn bench_collection(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(name), &live, |b, &live| {
             b.iter_with_setup(
                 || population(spaces, per, live),
-                |mut r| {
+                |r| {
                     let report = r.collect_garbage(&|_| Vec::new());
                     let expected_dead = ((spaces as f64 * (1.0 - live)).round() as usize) * per;
                     assert_eq!(report.collected_actors.len(), expected_dead);
@@ -72,7 +72,7 @@ fn bench_collection_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(total), &total, |b, &t| {
             b.iter_with_setup(
                 || population(t / 50, 50, 0.5),
-                |mut r| r.collect_garbage(&|_| Vec::new()),
+                |r| r.collect_garbage(&|_| Vec::new()),
             );
         });
     }

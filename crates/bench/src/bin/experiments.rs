@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run -p actorspace-bench --bin experiments --release`
 //!
-//! Prints one table per experiment (E1–E11). Wall-clock numbers vary by
+//! Prints one table per experiment (E1–E15). Wall-clock numbers vary by
 //! machine; the *shapes* (who wins, by what factor, where crossovers fall)
 //! are what EXPERIMENTS.md compares against the paper's claims.
 
@@ -16,7 +16,7 @@ use actorspace_bench::report::{fmt_dur, time_it, Table};
 use actorspace_bench::workloads::{pool, repo, tsp};
 use actorspace_core::{
     policy::{ManagerPolicy, SelectionPolicy, UnmatchedPolicy},
-    ActorId, Registry, ShardedRegistry, SpaceId, ROOT_SPACE,
+    ActorId, ShardedRegistry, SpaceId, ROOT_SPACE,
 };
 use actorspace_net::{Cluster, ClusterConfig, FailureConfig, LinkConfig, OrderingProtocol};
 use actorspace_obs::{names, Obs, ObsConfig};
@@ -28,6 +28,7 @@ fn main() {
     let run = |name: &str| only.as_deref().is_none_or(|o| o.eq_ignore_ascii_case(name));
 
     println!("ActorSpace experiment harness — one table per EXPERIMENTS.md entry");
+    println!("(every table measures the one coordinator, ShardedRegistry, directly or under ActorSystem/Cluster)");
     if run("e1") {
         e1_process_pool();
     }
@@ -194,7 +195,7 @@ fn e2_single_node() {
     }
     // Resolution scaling.
     for n_actors in [100usize, 1_000, 10_000] {
-        let mut reg: Registry<u64> = Registry::new(ManagerPolicy::default());
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
         let space = reg.create_space(None);
         let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
         for i in 0..n_actors {
@@ -303,7 +304,7 @@ fn e4_load_balance() {
                 selection_seed: Some(42),
                 ..Default::default()
             };
-            let mut reg: Registry<u64> = Registry::new(policy);
+            let reg: ShardedRegistry<u64> = ShardedRegistry::new(policy);
             let space = reg.create_space(None);
             let mut replicas = Vec::new();
             let mut sink0 = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
@@ -423,7 +424,7 @@ fn e6_unmatched() {
             unmatched_send: policy,
             ..Default::default()
         };
-        let mut reg: Registry<u64> = Registry::new(p);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let pat = pattern("ghost");
         let n = 10_000u32;
@@ -441,7 +442,7 @@ fn e6_unmatched() {
             unmatched_send: UnmatchedPolicy::Suspend,
             ..Default::default()
         };
-        let mut reg: Registry<u64> = Registry::new(p);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let a = reg.create_actor(space, None).unwrap();
         let n = 10_000u32;
@@ -472,7 +473,7 @@ fn e6_unmatched() {
             unmatched_broadcast: UnmatchedPolicy::Persistent,
             ..Default::default()
         };
-        let mut reg: Registry<u64> = Registry::new(p);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(p);
         let space = reg.create_space(None);
         let n = 1_000u32;
         let mut delivered = 0u32;
@@ -518,7 +519,7 @@ fn e7_cycles() {
     );
     for depth in [4usize, 16, 64, 256] {
         let build = || {
-            let mut r: Registry<u64> = Registry::new(ManagerPolicy::default());
+            let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
             let spaces: Vec<SpaceId> = (0..depth).map(|_| r.create_space(None)).collect();
             let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
             for w in spaces.windows(2) {
@@ -529,7 +530,7 @@ fn e7_cycles() {
         };
         let reps = 500u32;
         // Actor member: no DAG check.
-        let (mut r, spaces) = build();
+        let (r, spaces) = build();
         let top = *spaces.last().unwrap();
         let actors: Vec<ActorId> = (0..reps)
             .map(|_| r.create_actor(top, None).unwrap())
@@ -542,7 +543,7 @@ fn e7_cycles() {
             }
         });
         // Space member: full reachability walk.
-        let (mut r, spaces) = build();
+        let (r, spaces) = build();
         let head = *spaces.last().unwrap();
         let extras: Vec<SpaceId> = (0..reps).map(|_| r.create_space(None)).collect();
         let (_, d_space) = time_it(|| {
@@ -553,7 +554,7 @@ fn e7_cycles() {
             }
         });
         // Cycle rejection (worst case walk).
-        let (mut r, spaces) = build();
+        let (r, spaces) = build();
         let (_, d_reject) = time_it(|| {
             let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
             for _ in 0..reps {
@@ -723,7 +724,7 @@ fn e10_gc() {
         &["live fraction", "collected", "survivors", "pass time"],
     );
     for live in [0.0f64, 0.5, 1.0] {
-        let mut r: Registry<u64> = Registry::new(ManagerPolicy::default());
+        let r: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
         let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
         for s in 0..100usize {
             let space = r.create_space(None);
@@ -824,6 +825,9 @@ fn e11_repository() {
 // ---------------------------------------------------------------- E12
 
 fn e12_attr_index() {
+    // The literal index always serves literal patterns, so the "unindexed"
+    // column asks the same coordinator a one-word alternation: the same
+    // language, but not literal, so it takes the NFA walk.
     let mut t = Table::new(
         "E12 (ablation): literal-pattern resolution — inverted index vs NFA walk (per query)",
         &[
@@ -835,51 +839,48 @@ fn e12_attr_index() {
         ],
     );
     for n in [1_000usize, 10_000, 100_000] {
-        let build = |use_index: bool| {
-            let policy = ManagerPolicy {
-                use_literal_index: use_index,
-                ..Default::default()
-            };
-            let mut reg: Registry<u64> = Registry::new(policy);
-            let space = reg.create_space(None);
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-            for i in 0..n {
-                let a = reg.create_actor(space, None).unwrap();
-                reg.make_visible(
-                    a.into(),
-                    vec![path(&format!("srv/class-{}/inst-{}", i % 97, i))],
-                    space,
-                    None,
-                    &mut sink,
-                )
-                .unwrap();
-            }
-            (reg, space)
-        };
-        let (indexed, si) = build(true);
-        let (unindexed, su) = build(false);
+        let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
+        let space = reg.create_space(None);
+        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        for i in 0..n {
+            let a = reg.create_actor(space, None).unwrap();
+            reg.make_visible(
+                a.into(),
+                vec![path(&format!("srv/class-{}/inst-{}", i % 97, i))],
+                space,
+                None,
+                &mut sink,
+            )
+            .unwrap();
+        }
         let exact = Pattern::parse("srv/class-1/inst-1").unwrap();
+        let walked = pattern("{srv/class-1/inst-1, srv/class-1/inst-1}");
+        assert!(exact.as_literal().is_some() && walked.as_literal().is_none());
+        assert_eq!(
+            reg.resolve(&exact, space).unwrap(),
+            reg.resolve(&walked, space).unwrap()
+        );
         let missing = Pattern::parse("srv/class-1/inst-absent").unwrap();
         let wildcard = pattern("srv/class-1/*");
         let reps = 500u32;
         let (_, d_ie) = time_it(|| {
             for _ in 0..reps {
-                assert_eq!(indexed.resolve(&exact, si).unwrap().len(), 1);
+                assert_eq!(reg.resolve(&exact, space).unwrap().len(), 1);
             }
         });
         let (_, d_ue) = time_it(|| {
             for _ in 0..reps.min(100) {
-                assert_eq!(unindexed.resolve(&exact, su).unwrap().len(), 1);
+                assert_eq!(reg.resolve(&walked, space).unwrap().len(), 1);
             }
         });
         let (_, d_miss) = time_it(|| {
             for _ in 0..reps {
-                assert!(indexed.resolve(&missing, si).unwrap().is_empty());
+                assert!(reg.resolve(&missing, space).unwrap().is_empty());
             }
         });
         let (_, d_wild) = time_it(|| {
             for _ in 0..reps.min(100) {
-                indexed.resolve(&wildcard, si).unwrap();
+                reg.resolve(&wildcard, space).unwrap();
             }
         });
         t.row(&[
@@ -1020,13 +1021,12 @@ fn e13_tracing_overhead() {
 // ---------------------------------------------------------------- E14
 
 fn e14_shard_contention() {
-    // The sharded coordinator's reason to exist: under the seed design
-    // every send serialises on one registry-wide mutex; per-space shards
-    // let sends into disjoint spaces proceed concurrently. Each thread
-    // hammers its own private space and sends every 16th message through
-    // one shared space (the cross-shard path), against (a) the single-lock
-    // reference behind a `Mutex` — the seed coordinator shape — and
-    // (b) `ShardedRegistry` called through `&self`.
+    // What per-space shards buy. Each thread hammers its own private space
+    // and sends every 16th message through one shared space (the
+    // cross-shard path), against (a) the coordinator behind one global
+    // `Mutex`, so every operation is serialised — the seed coordinator
+    // shape — and (b) the same coordinator called through `&self`. Both
+    // columns run identical code, so the ratio isolates the sharding.
     //
     // E14_QUICK=1 shrinks the run for CI. On a 1-core runner the two
     // variants should be ~at parity (no parallelism to win); the sharded
@@ -1051,105 +1051,56 @@ fn e14_shard_contention() {
         ..ManagerPolicy::default()
     };
 
-    for threads in [1usize, 2, 4, 8] {
-        // -- (a) the seed shape: one mutex around the whole registry.
-        let d_global = {
-            let reg = Arc::new(actorspace_lockcheck::Mutex::new(
-                actorspace_lockcheck::LockClass::Other("bench.global_registry"),
-                Registry::<u64>::new(policy.clone()),
-            ));
-            let (privates, shared) = {
-                let mut r = reg.lock();
-                let shared = r.create_space(None);
-                let mut privates = Vec::new();
-                let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                for _ in 0..threads {
-                    let s = r.create_space(None);
-                    let a = r.create_actor(s, None).unwrap();
-                    r.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
-                        .unwrap();
-                    r.make_visible(
-                        a.into(),
-                        vec![path("shared/worker")],
-                        shared,
-                        None,
-                        &mut sink,
-                    )
-                    .unwrap();
-                    privates.push(s);
-                }
-                (privates, shared)
-            };
-            let own = pattern("worker");
-            let cross = pattern("shared/*");
-            let (_, d) = time_it(|| {
-                std::thread::scope(|scope| {
-                    for &space in privates.iter().take(threads) {
-                        let reg = Arc::clone(&reg);
-                        let (own, cross) = (own.clone(), cross.clone());
-                        scope.spawn(move || {
-                            let mut sink =
-                                |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                            for i in 0..per_thread {
-                                let mut r = reg.lock();
-                                if i % 16 == 0 {
-                                    r.send(&cross, shared, i, &mut sink).unwrap();
-                                } else {
-                                    r.send(&own, space, i, &mut sink).unwrap();
-                                }
-                            }
-                        });
-                    }
-                });
-            });
-            d
-        };
-
-        // -- (b) per-space shards, no outer lock.
-        let d_sharded = {
-            let reg = Arc::new(ShardedRegistry::<u64>::new(policy.clone()));
-            let shared = reg.create_space(None);
-            let mut privates = Vec::new();
-            let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-            for _ in 0..threads {
-                let s = reg.create_space(None);
-                let a = reg.create_actor(s, None).unwrap();
-                reg.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
-                    .unwrap();
-                reg.make_visible(
-                    a.into(),
-                    vec![path("shared/worker")],
-                    shared,
-                    None,
-                    &mut sink,
-                )
+    let run = |threads: usize, serialise: bool| {
+        let reg = ShardedRegistry::<u64>::new(policy.clone());
+        let global = actorspace_lockcheck::Mutex::new(
+            actorspace_lockcheck::LockClass::Other("bench.global_registry"),
+            (),
+        );
+        let shared = reg.create_space(None);
+        let mut privates = Vec::new();
+        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+        for _ in 0..threads {
+            let s = reg.create_space(None);
+            let a = reg.create_actor(s, None).unwrap();
+            reg.make_visible(a.into(), vec![path("worker")], s, None, &mut sink)
                 .unwrap();
-                privates.push(s);
-            }
-            let own = pattern("worker");
-            let cross = pattern("shared/*");
-            let (_, d) = time_it(|| {
-                std::thread::scope(|scope| {
-                    for &space in privates.iter().take(threads) {
-                        let reg = Arc::clone(&reg);
-                        let (own, cross) = (own.clone(), cross.clone());
-                        scope.spawn(move || {
-                            let mut sink =
-                                |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
-                            for i in 0..per_thread {
-                                if i % 16 == 0 {
-                                    reg.send(&cross, shared, i, &mut sink).unwrap();
-                                } else {
-                                    reg.send(&own, space, i, &mut sink).unwrap();
-                                }
+            reg.make_visible(
+                a.into(),
+                vec![path("shared/worker")],
+                shared,
+                None,
+                &mut sink,
+            )
+            .unwrap();
+            privates.push(s);
+        }
+        let own = pattern("worker");
+        let cross = pattern("shared/*");
+        let (_, d) = time_it(|| {
+            std::thread::scope(|scope| {
+                for &space in &privates {
+                    let (reg, global, own, cross) = (&reg, &global, &own, &cross);
+                    scope.spawn(move || {
+                        let mut sink = |_: ActorId, _: u64, _: Option<&actorspace_core::Route>| {};
+                        for i in 0..per_thread {
+                            let _serialised = serialise.then(|| global.lock());
+                            if i % 16 == 0 {
+                                reg.send(cross, shared, i, &mut sink).unwrap();
+                            } else {
+                                reg.send(own, space, i, &mut sink).unwrap();
                             }
-                        });
-                    }
-                });
+                        }
+                    });
+                }
             });
-            d
-        };
+        });
+        d
+    };
 
+    for threads in [1usize, 2, 4, 8] {
+        let d_global = run(threads, true);
+        let d_sharded = run(threads, false);
         t.row(&[
             threads.to_string(),
             per_thread.to_string(),
@@ -1160,8 +1111,9 @@ fn e14_shard_contention() {
     }
     t.print();
     println!(
-        "(cores available: {}; on a 1-core runner expect ~parity — the sharded win \
-         needs real parallelism, the invariant is that sharding is never meaningfully slower)",
+        "(cores available: {}; both columns are ShardedRegistry, the global one behind one \
+         Mutex; on a 1-core runner expect ~parity — the sharded win needs real parallelism, \
+         the invariant is that sharding is never meaningfully slower)",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!("json: {}", t.to_json());

@@ -2,37 +2,40 @@
 //!
 //! An *actorSpace* is "a computationally passive container of actors which
 //! acts as a context for matching patterns" (§1). This crate implements the
-//! full model of §5:
+//! full model of §5 in one coordinator, [`ShardedRegistry`]:
 //!
 //! * **Attributes and patterns** — attributes are [`Path`]s of atoms;
 //!   destination patterns are regular expressions over atoms
 //!   ([`actorspace_pattern`]). Matching is scoped to a space and descends
 //!   through visible sub-spaces by joining attributes with `/`
-//!   ([`Registry::resolve`]).
-//! * **Visibility** — [`Registry::make_visible`],
-//!   [`Registry::make_invisible`], [`Registry::change_attributes`], all
-//!   guarded by capabilities (§5.4) and constrained to keep the
-//!   space-visibility relation a DAG (§5.7).
-//! * **Communication** — [`Registry::send`] (one non-deterministic
-//!   recipient) and [`Registry::broadcast`] (all recipients), with the
-//!   §5.6 unmatched-message policies: suspend (default), discard, error,
-//!   and persistent exactly-once broadcast.
+//!   ([`ShardedRegistry::resolve`]).
+//! * **Visibility** — [`ShardedRegistry::make_visible`],
+//!   [`ShardedRegistry::make_invisible`],
+//!   [`ShardedRegistry::change_attributes`], all guarded by capabilities
+//!   (§5.4) and constrained to keep the space-visibility relation a DAG
+//!   (§5.7).
+//! * **Communication** — [`ShardedRegistry::send`] (one non-deterministic
+//!   recipient) and [`ShardedRegistry::broadcast`] (all recipients), with
+//!   the §5.6 unmatched-message policies: suspend (default), discard,
+//!   error, and persistent exactly-once broadcast.
 //! * **Managers** — per-space [`policy::ManagerPolicy`] tables and fully
 //!   programmable [`manager::Manager`] hooks (§8).
 //! * **Garbage collection** — mark/sweep over visibility and acquaintance
-//!   edges ([`Registry::collect_garbage`], §5.5).
+//!   edges ([`ShardedRegistry::collect_garbage`], §5.5).
 //!
-//! The registry is generic over the message payload `M` and delivers
+//! The coordinator is generic over the message payload `M` and delivers
 //! through caller-supplied sinks, so the same core backs the
 //! single-node runtime (`actorspace-runtime`), the simulated cluster
-//! (`actorspace-net`), and direct use in tests and benchmarks.
+//! (`actorspace-net`), and direct use in tests and benchmarks. Each space
+//! sits behind its own lock, so operations on disjoint spaces never
+//! contend (see [`shard`]).
 //!
 //! ```
-//! use actorspace_core::{Registry, policy::ManagerPolicy, Disposition};
+//! use actorspace_core::{ShardedRegistry, policy::ManagerPolicy, Disposition};
 //! use actorspace_atoms::path;
 //! use actorspace_pattern::pattern;
 //!
-//! let mut reg: Registry<&str> = Registry::new(ManagerPolicy::default());
+//! let reg: ShardedRegistry<&str> = ShardedRegistry::new(ManagerPolicy::default());
 //! let pool = reg.create_space(None);
 //! let worker = reg.create_actor(pool, None).unwrap();
 //!
@@ -58,7 +61,6 @@ pub mod manager;
 pub mod managers;
 pub mod matching;
 pub mod policy;
-pub mod registry;
 pub mod shard;
 pub mod space;
 pub mod visibility;
@@ -67,12 +69,11 @@ pub use actorspace_atoms::{Atom, Path};
 pub use actorspace_obs as obs;
 pub use actorspace_obs::{Obs, ObsConfig, Stage, TraceId};
 pub use actorspace_pattern::Pattern;
-pub use delivery::{Disposition, Route};
+pub use delivery::{Disposition, Route, Sink};
 pub use error::{Error, Result};
 pub use gc::GcReport;
 pub use ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};
 pub use manager::{DefaultManager, Manager};
 pub use policy::{CyclePolicy, ManagerPolicy, SelectionPolicy, Selector, UnmatchedPolicy};
-pub use registry::{ActorRecord, Registry, Sink, SpaceInfo};
-pub use shard::ShardedRegistry;
-pub use space::{DeliveryKind, MatchFilter, Pending, PersistentBroadcast, Space};
+pub use shard::{ActorRecord, ShardedRegistry};
+pub use space::{DeliveryKind, MatchFilter, Pending, PersistentBroadcast, Space, SpaceInfo};

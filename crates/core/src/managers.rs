@@ -133,18 +133,18 @@ impl Manager for AuditDaemon {
 mod tests {
     use super::*;
     use crate::policy::ManagerPolicy;
-    use crate::registry::Registry;
+    use crate::shard::ShardedRegistry;
     use actorspace_atoms::path;
     use actorspace_pattern::pattern;
 
-    type Reg = Registry<u32>;
+    type Reg = ShardedRegistry<u32>;
 
     fn reg() -> Reg {
         let p = ManagerPolicy {
             selection_seed: Some(3),
             ..Default::default()
         };
-        Registry::new(p)
+        ShardedRegistry::new(p)
     }
 
     fn sink() -> impl FnMut(ActorId, u32, Option<&crate::delivery::Route>) {
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn quota_manager_caps_admissions() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(QuotaManager::new(2)), None)
             .unwrap();
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn quota_refusal_returns_the_slot() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(QuotaManager::new(1)), None)
             .unwrap();
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn namespace_manager_constrains_attribute_shapes() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(NamespaceManager::new(path("public"))), None)
             .unwrap();
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn sticky_manager_pins_a_recipient() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         r.set_space_manager(s, Box::new(StickyManager::new()), None)
             .unwrap();
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn audit_daemon_observes_changes() {
-        let mut r = reg();
+        let r = reg();
         let s = r.create_space(None);
         let (daemon, counter) = AuditDaemon::new();
         r.set_space_manager(s, Box::new(daemon), None).unwrap();

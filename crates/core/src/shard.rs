@@ -1,17 +1,18 @@
-//! The sharded coordinator: one lock per actorSpace instead of one lock
+//! The coordinator: every actor, every actorSpace, and the visibility
+//! relation between them, with one lock per actorSpace instead of one lock
 //! per node.
 //!
 //! The paper's coordinator "maintains coherence of the state of
-//! ActorSpace" (§7.3), and the single-lock [`Registry`] realizes it as one
-//! big critical section — every `send(pattern@space)`, broadcast, and
-//! visibility change on a node serializes through it. But pattern matching
-//! is already *scoped*: a resolution at `space` can only observe `space`
-//! itself plus the sub-spaces transitively visible in it (§7.1), so spaces
-//! whose visibility subtrees are disjoint never contend. The
-//! [`ShardedRegistry`] exploits exactly that: each space — its visible
-//! members, suspended sends, and persistent broadcasts (§5.6) — lives
-//! behind its own mutex, and an operation locks only the shards its scope
-//! can reach.
+//! ActorSpace. This state includes 'live' actors and actorSpaces as well
+//! as visibility of actors" (§7.3). One big critical section would
+//! serialize every `send(pattern@space)`, broadcast, and visibility change
+//! on a node. But pattern matching is already *scoped*: a resolution at
+//! `space` can only observe `space` itself plus the sub-spaces transitively
+//! visible in it (§7.1), so spaces whose visibility subtrees are disjoint
+//! never contend. The [`ShardedRegistry`] exploits exactly that: each
+//! space — its visible members, suspended sends, and persistent broadcasts
+//! (§5.6) — lives behind its own mutex, and an operation locks only the
+//! shards its scope can reach.
 //!
 //! ## Lock-ordering invariant
 //!
@@ -34,8 +35,8 @@
 //! bigger lock sets; disjoint sends proceed fully in parallel under the
 //! shared meta read lock.
 //!
-//! Sinks are invoked with shard locks held (exactly as [`Registry`] invokes
-//! them under its single lock) and must not re-enter the coordinator.
+//! Sinks are invoked with shard locks held and must not re-enter the
+//! coordinator.
 //!
 //! All of the above is *checked*, not just documented: every lock here is
 //! an [`actorspace_lockcheck`] wrapper tagged `Meta` or `Shard(id)`, each
@@ -43,14 +44,16 @@
 //! manager callback runs inside an [`enter_callback`] section. Built with
 //! `--features lockcheck`, the checker enforces meta-before-shard,
 //! ascending shard order, no callback re-entry, and (per §5.7) re-verifies
-//! the visibility DAG after every topology mutation. Without the feature
-//! all of it compiles away.
+//! the visibility DAG after every topology mutation until some space opts
+//! into tolerating cycles. Without the feature all of it compiles away.
 //!
-//! The single-lock [`Registry`] is deliberately kept: it is the reference
-//! implementation the differential oracle property test replays random
-//! operation sequences against (`tests/differential_oracle.rs`), asserting
-//! both coordinators produce identical delivery multisets, suspension
-//! sets, and [`SpaceInfo`] snapshots.
+//! The coordinator is generic over the message payload `M` and performs
+//! deliveries through a caller-supplied [`Sink`], so the same type backs
+//! the single-node runtime, the simulated cluster, and plain in-test use.
+//! `tests/differential_oracle.rs` replays random operation sequences
+//! against it and against a deliberately naive executable specification,
+//! asserting identical outcomes, delivery multisets, suspension sets, and
+//! [`SpaceInfo`] snapshots.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -60,22 +63,56 @@ use actorspace_capability::{Capability, Guard, GuardError, Rights};
 use actorspace_lockcheck::{
     enter_callback, enter_coordinator, LockClass, Mutex, MutexGuard, RwLock,
 };
-use actorspace_obs::{names, Counter, Obs, ObsConfig, Stage, TraceId};
+use actorspace_obs::{names, Counter, Histogram, Obs, ObsConfig, Stage, TraceId};
 use actorspace_pattern::Pattern;
 
-use crate::delivery::{Disposition, Route};
+use crate::delivery::{Disposition, Route, Sink};
 use crate::error::{Error, Result};
 use crate::gc::GcReport;
 use crate::ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};
 use crate::manager::Manager;
 use crate::matching::{self, SpaceStore};
 use crate::policy::{CyclePolicy, ManagerPolicy, UnmatchedPolicy};
-use crate::registry::{ActorRecord, CoreMetrics, Sink, SpaceInfo};
-use crate::space::{DeliveryKind, Pending, PersistentBroadcast, Space};
+use crate::space::{DeliveryKind, Pending, PersistentBroadcast, Space, SpaceInfo};
 use crate::visibility;
 
-#[cfg(doc)]
-use crate::registry::Registry;
+/// Per-actor bookkeeping.
+#[derive(Debug, Clone)]
+pub struct ActorRecord {
+    /// The capability guard protecting this actor's visibility/attributes.
+    pub guard: Guard,
+    /// The space the actor was created in (§7.1: its "host" space). Used as
+    /// the default pattern-resolution scope; does *not* imply visibility.
+    pub host: SpaceId,
+}
+
+/// Pre-resolved metric handles for the delivery hot paths, so sends touch
+/// only relaxed atomics, never the registry mutex inside `Obs`.
+pub(crate) struct CoreMetrics {
+    pub sends: Arc<Counter>,
+    pub broadcasts: Arc<Counter>,
+    pub matched: Arc<Counter>,
+    pub suspended: Arc<Counter>,
+    pub woken: Arc<Counter>,
+    pub discarded: Arc<Counter>,
+    pub match_ns: Arc<Histogram>,
+    pub dwell_ns: Arc<Histogram>,
+}
+
+impl CoreMetrics {
+    pub(crate) fn resolve(obs: &Obs, node: u16) -> CoreMetrics {
+        CoreMetrics {
+            sends: obs.metrics.counter(names::CORE_SENDS, node),
+            broadcasts: obs.metrics.counter(names::CORE_BROADCASTS, node),
+            matched: obs.metrics.counter(names::CORE_MATCHED, node),
+            suspended: obs.metrics.counter(names::CORE_SUSPENDED, node),
+            woken: obs.metrics.counter(names::CORE_WOKEN, node),
+            discarded: obs.metrics.counter(names::CORE_DISCARDED, node),
+            match_ns: obs.metrics.histogram(names::CORE_MATCH_NS, node),
+            dwell_ns: obs.metrics.histogram(names::CORE_DWELL_NS, node),
+        }
+    }
+}
 
 /// Pre-resolved per-space metric handles (`core.space.*`, `core.index.*`),
 /// labeled with the shard's space id in [`Obs`] snapshots.
@@ -132,6 +169,10 @@ struct Meta<M> {
     edges: HashMap<SpaceId, HashSet<SpaceId>>,
     /// Actors with live external handles — garbage-collection roots.
     roots: HashSet<ActorId>,
+    /// Set once a space joined a parent whose policy tolerates cycles
+    /// (§5.7's tagging alternative); the lockcheck DAG validator stands
+    /// down from then on.
+    cycles_tolerated: bool,
 }
 
 /// The shard mutexes an operation holds, keyed (and therefore iterated)
@@ -229,9 +270,10 @@ fn member_guard<M>(meta: &Meta<M>, member: MemberId) -> Result<&Guard> {
     }
 }
 
-/// Removes a space from the meta tables and from every locked parent —
-/// the sharded counterpart of `Registry::remove_space_internal`. The
-/// caller must hold the space's own shard and all its parents in `guards`.
+/// Removes a space from the meta tables and from every locked parent. The
+/// space's members survive; actors it hosted are re-hosted to the root.
+/// The caller must hold the space's own shard and all its parents in
+/// `guards`.
 fn remove_space_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: SpaceId) {
     if meta.shards.remove(&id).is_some() {
         // Drop reverse edges of its members.
@@ -271,9 +313,8 @@ fn remove_space_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: Sp
     }
 }
 
-/// Removes an actor entirely (death) — the sharded counterpart of
-/// `Registry::remove_actor_internal`. The caller must hold every space the
-/// actor is visible in.
+/// Removes an actor entirely (death): its record, memberships and root
+/// mark. The caller must hold every space the actor is visible in.
 fn remove_actor_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: ActorId) {
     meta.actors.remove(&id);
     let as_member = MemberId::Actor(id);
@@ -287,9 +328,8 @@ fn remove_actor_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: Ac
     meta.roots.remove(&id);
 }
 
-/// The ActorSpace universe for one node, sharded by space. Same observable
-/// semantics as [`Registry`] (the differential oracle enforces this), but
-/// every operation takes `&self` and disjoint spaces never contend.
+/// The ActorSpace universe for one node, sharded by space. Every operation
+/// takes `&self`, and operations on disjoint spaces never contend.
 pub struct ShardedRegistry<M> {
     ids: IdGen,
     meta: RwLock<Meta<M>>,
@@ -317,6 +357,7 @@ impl<M: Clone> ShardedRegistry<M> {
                     containers: HashMap::new(),
                     edges: HashMap::new(),
                     roots: HashSet::new(),
+                    cycles_tolerated: false,
                 },
             ),
             default_policy,
@@ -373,10 +414,11 @@ impl<M: Clone> ShardedRegistry<M> {
     }
 
     /// §5.7 validator: under `--features lockcheck`, re-verifies the
-    /// visibility relation is still acyclic after a topology mutation.
-    /// Compiles to nothing otherwise (`ENABLED` is a constant false).
+    /// visibility relation is still acyclic after a topology mutation,
+    /// unless a space opted into tolerating cycles. Compiles to nothing
+    /// otherwise (`ENABLED` is a constant false).
     fn validate_dag_after_mutation(meta: &Meta<M>, op: &str) {
-        if !actorspace_lockcheck::ENABLED {
+        if !actorspace_lockcheck::ENABLED || meta.cycles_tolerated {
             return;
         }
         let nodes: HashSet<SpaceId> = meta.shards.keys().copied().collect();
@@ -533,11 +575,18 @@ impl<M: Clone> ShardedRegistry<M> {
     /// The lock set for an operation that changes what is matchable in
     /// `space`: every space that can observe the change (the containment
     /// ancestors of `space`, §7.1) together with everything those spaces'
-    /// resolutions can descend into. Computed from the meta tables alone.
+    /// resolutions can descend into. Computed from the meta tables alone,
+    /// in one walk from all ancestors at once, so a deep chain costs
+    /// linear, not quadratic, time.
     fn wake_lock_set(meta: &Meta<M>, space: SpaceId) -> BTreeSet<SpaceId> {
         let mut set = BTreeSet::new();
-        for s in visibility::ancestors(&meta.containers, space) {
-            set.extend(visibility::reachable(&meta.edges, s));
+        let mut stack: Vec<SpaceId> = visibility::ancestors(&meta.containers, space)
+            .into_iter()
+            .collect();
+        while let Some(s) = stack.pop() {
+            if set.insert(s) {
+                stack.extend(meta.edges.get(&s).into_iter().flatten().copied());
+            }
         }
         set
     }
@@ -569,10 +618,10 @@ impl<M: Clone> ShardedRegistry<M> {
         let mut guards = lock_all(&arcs);
         // §5.7: reject cycles *before* inserting — unless the space's
         // manager tolerates cycles (resolution then dedups visited states).
+        let forbid = guards
+            .get(&space)
+            .is_some_and(|sp| sp.policy().cycles == CyclePolicy::Forbid);
         if let MemberId::Space(child) = member {
-            let forbid = guards
-                .get(&space)
-                .is_some_and(|sp| sp.policy().cycles == CyclePolicy::Forbid);
             if forbid && visibility::would_cycle_edges(&meta.edges, child, space) {
                 return Err(Error::WouldCycle {
                     child,
@@ -596,6 +645,7 @@ impl<M: Clone> ShardedRegistry<M> {
         meta.containers.entry(member).or_default().insert(space);
         if let MemberId::Space(child) = member {
             meta.edges.entry(space).or_default().insert(child);
+            meta.cycles_tolerated |= !forbid;
         }
         Self::validate_dag_after_mutation(&meta, "make_visible");
         self.wake_locked(&meta, &mut guards, space, sink);
@@ -823,9 +873,13 @@ impl<M: Clone> ShardedRegistry<M> {
         self.broadcast_locked(&meta, &mut guards, pattern, space, msg, sink, trace)
     }
 
-    /// Re-resolves a previously routed message (failover). The existing
-    /// trace is continued; node- and space-level submit counters are not
-    /// re-incremented (matching [`Registry::resend`]).
+    /// Re-resolves a previously routed message against the current state —
+    /// the failover path after its original recipient (or the node holding
+    /// it) died. Semantics match a fresh `send`/`broadcast` under the
+    /// space's unmatched policy, but the message's existing lifecycle trace
+    /// is *continued*: no new trace is begun, no `submitted` stage is
+    /// emitted, and node- and space-level submit counters are not
+    /// re-incremented.
     pub fn resend(&self, route: &Route, msg: M, sink: Sink<'_, M>) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::resend");
         let meta = self.meta.read();
@@ -886,9 +940,9 @@ impl<M: Clone> ShardedRegistry<M> {
         Ok(n)
     }
 
-    /// Resolution with exact-prefix-index accounting: when the literal
-    /// fast path applies (E12), the scope shard's per-space hit/miss
-    /// counter is bumped by outcome.
+    /// Resolution with exact-prefix-index accounting: a literal pattern
+    /// takes the index fast path (E12), and the scope shard's per-space
+    /// hit/miss counter is bumped by outcome.
     fn resolve_counted(
         &self,
         meta: &Meta<M>,
@@ -896,10 +950,7 @@ impl<M: Clone> ShardedRegistry<M> {
         pattern: &Pattern,
         scope: SpaceId,
     ) -> Result<Vec<ActorId>> {
-        let via_index = pattern.as_literal().is_some()
-            && guards
-                .get_space(scope)
-                .is_some_and(|sp| sp.policy().use_literal_index);
+        let via_index = pattern.as_literal().is_some();
         let out = matching::resolve_actors(guards, pattern, scope)?;
         if via_index {
             if let Some(sh) = meta.shards.get(&scope) {
@@ -1120,9 +1171,10 @@ impl<M: Clone> ShardedRegistry<M> {
     }
 
     /// Retries suspended and persistent messages after a visibility or
-    /// attribute change in `changed`, sweeping the affected queues in
-    /// ascending id order (cross-space sweep order is unspecified in the
-    /// single-lock registry, so any deterministic order is equivalent).
+    /// attribute change in `changed`. A change is observable from `changed`
+    /// itself and from every space that can reach it through the visibility
+    /// DAG, so all of those queues are swept, in ascending id order (the
+    /// model leaves cross-space sweep order unspecified).
     fn wake_locked(
         &self,
         meta: &Meta<M>,
@@ -1211,7 +1263,9 @@ impl<M: Clone> ShardedRegistry<M> {
                 .resolve_counted(meta, guards, &pb.pattern, space)
                 .unwrap_or_default();
             // Late persistent deliveries are not tied back to the original
-            // broadcast's trace (see `Registry::retry_space`).
+            // broadcast's trace: it may have terminated long ago, and an
+            // open-ended stream of `delivered` events would make "exactly
+            // one terminal stage" meaningless.
             let route = Route {
                 pattern: pb.pattern.clone(),
                 space,
@@ -1238,8 +1292,10 @@ impl<M: Clone> ShardedRegistry<M> {
     // Resolution
     // ------------------------------------------------------------------
 
-    /// Resolves `pattern` in `space` to the set of matching visible actors
-    /// (see [`Registry::resolve`]); deduplicated and sorted.
+    /// Resolves `pattern` in `space` to the set of matching visible actors,
+    /// descending through visible sub-spaces per the structured-attribute
+    /// rule (§7.1). The result is deduplicated and sorted (an actor visible
+    /// via several attribute paths is returned once).
     pub fn resolve(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<ActorId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve");
         let meta = self.meta.read();
@@ -1272,9 +1328,11 @@ impl<M: Clone> ShardedRegistry<M> {
     // Garbage collection (§5.5)
     // ------------------------------------------------------------------
 
-    /// Runs a stop-the-world mark/sweep collection (see
-    /// [`Registry::collect_garbage`]): meta write-locked, every shard
-    /// locked in ascending order.
+    /// Runs a stop-the-world mark/sweep collection (§5.5, see [`crate::gc`]):
+    /// meta write-locked, every shard locked in ascending order.
+    /// `acquaintances` reports, for a live actor, every mail address its
+    /// current behavior holds; pass `|_| Vec::new()` when behaviors hold
+    /// no addresses.
     pub fn collect_garbage(&self, acquaintances: &dyn Fn(ActorId) -> Vec<MemberId>) -> GcReport {
         let _op = enter_coordinator("ShardedRegistry::collect_garbage");
         let mut meta = self.meta.write();
@@ -1435,8 +1493,7 @@ impl<M: Clone> ShardedRegistry<M> {
         })
     }
 
-    /// Runs `f` against one locked space — the sharded replacement for
-    /// [`Registry::space`]-style borrowing inspection.
+    /// Runs `f` against one locked space, for inspection.
     pub fn with_space<R>(&self, id: SpaceId, f: impl FnOnce(&Space<M>) -> R) -> Result<R> {
         let _op = enter_coordinator("ShardedRegistry::with_space");
         let meta = self.meta.read();
@@ -1487,6 +1544,293 @@ mod tests {
         assert_eq!(r.space_count(), 1);
     }
 
+    #[test]
+    fn create_space_and_actor() {
+        let r = reg();
+        let s = r.create_space(None);
+        assert!(r.space_exists(s));
+        let a = r.create_actor(s, None).unwrap();
+        assert!(r.actor_exists(a));
+        assert_eq!(r.actor(a).unwrap().host, s);
+    }
+
+    #[test]
+    fn create_actor_in_missing_space_fails() {
+        let r = reg();
+        let err = r.create_actor(SpaceId(999), None).unwrap_err();
+        assert_eq!(err, Error::NoSuchSpace(SpaceId(999)));
+    }
+
+    #[test]
+    fn make_visible_then_invisible() {
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, None).unwrap();
+        let m = MemberId::Actor(a);
+        let (_, mut sink) = collector();
+        r.make_visible(m, vec![path("w")], s, None, &mut sink)
+            .unwrap();
+        assert!(r.with_space(s, |sp| sp.contains(m)).unwrap());
+        assert_eq!(r.containers_of(m), vec![s]);
+        r.make_invisible(m, s, None).unwrap();
+        assert!(!r.with_space(s, |sp| sp.contains(m)).unwrap());
+        assert_eq!(r.containers_of(m).len(), 0);
+    }
+
+    #[test]
+    fn make_invisible_when_not_visible_errors() {
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, None).unwrap();
+        let err = r.make_invisible(MemberId::Actor(a), s, None).unwrap_err();
+        assert!(matches!(err, Error::NotVisible { .. }));
+    }
+
+    #[test]
+    fn actors_are_not_visible_by_default() {
+        // §5.4: "When an actor or an actorSpace is created, it is not
+        // automatically placed in an actorSpace."
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, None).unwrap();
+        assert!(!r
+            .with_space(s, |sp| sp.contains(MemberId::Actor(a)))
+            .unwrap());
+        assert!(!r
+            .with_space(ROOT_SPACE, |sp| sp.contains(MemberId::Actor(a)))
+            .unwrap());
+    }
+
+    #[test]
+    fn capability_guards_visibility() {
+        let mint = CapMinter::new();
+        let cap = mint.new_capability();
+        let wrong = mint.new_capability();
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, Some(&cap)).unwrap();
+        let m = MemberId::Actor(a);
+        let (_, mut sink) = collector();
+        // No capability → denied.
+        assert!(matches!(
+            r.make_visible(m, vec![path("w")], s, None, &mut sink),
+            Err(Error::Denied(_))
+        ));
+        // Wrong capability → denied.
+        assert!(matches!(
+            r.make_visible(m, vec![path("w")], s, Some(&wrong), &mut sink),
+            Err(Error::Denied(_))
+        ));
+        // Right capability → ok.
+        r.make_visible(m, vec![path("w")], s, Some(&cap), &mut sink)
+            .unwrap();
+        // Restricted capability lacking VISIBILITY → denied for invisibility.
+        let weak = cap.restrict(Rights::ATTRIBUTES);
+        assert!(matches!(
+            r.make_invisible(m, s, Some(&weak)),
+            Err(Error::Denied(_))
+        ));
+        r.make_invisible(m, s, Some(&cap)).unwrap();
+    }
+
+    #[test]
+    fn change_attributes_requires_visibility_and_right() {
+        let mint = CapMinter::new();
+        let cap = mint.new_capability();
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, Some(&cap)).unwrap();
+        let m = MemberId::Actor(a);
+        let (_, mut sink) = collector();
+        // Not visible yet.
+        assert!(matches!(
+            r.change_attributes(m, vec![path("x")], s, Some(&cap), &mut sink),
+            Err(Error::NotVisible { .. })
+        ));
+        r.make_visible(m, vec![path("w")], s, Some(&cap), &mut sink)
+            .unwrap();
+        r.change_attributes(m, vec![path("x")], s, Some(&cap), &mut sink)
+            .unwrap();
+        assert_eq!(
+            r.with_space(s, |sp| sp.members()[&m].clone()).unwrap(),
+            vec![path("x")]
+        );
+        // VISIBILITY-only capability cannot change attributes.
+        let weak = cap.restrict(Rights::VISIBILITY);
+        assert!(matches!(
+            r.change_attributes(m, vec![path("y")], s, Some(&weak), &mut sink),
+            Err(Error::Denied(_))
+        ));
+    }
+
+    #[test]
+    fn self_visibility_is_rejected() {
+        // §5.7: "we do not allow an actorSpace to be made visible in itself".
+        let r = reg();
+        let s = r.create_space(None);
+        let (_, mut sink) = collector();
+        let err = r
+            .make_visible(MemberId::Space(s), vec![path("me")], s, None, &mut sink)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::WouldCycle {
+                child: s,
+                parent: s
+            }
+        );
+    }
+
+    #[test]
+    fn indirect_cycles_are_rejected() {
+        // a visible in b, b visible in c ⇒ c cannot become visible in a.
+        let r = reg();
+        let a = r.create_space(None);
+        let b = r.create_space(None);
+        let c = r.create_space(None);
+        let (_, mut sink) = collector();
+        r.make_visible(MemberId::Space(a), vec![path("a")], b, None, &mut sink)
+            .unwrap();
+        r.make_visible(MemberId::Space(b), vec![path("b")], c, None, &mut sink)
+            .unwrap();
+        let err = r
+            .make_visible(MemberId::Space(c), vec![path("c")], a, None, &mut sink)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::WouldCycle {
+                child: c,
+                parent: a
+            }
+        );
+        // The non-cyclic direction still works: a may also be visible in c.
+        r.make_visible(MemberId::Space(a), vec![path("a2")], c, None, &mut sink)
+            .unwrap();
+    }
+
+    #[test]
+    fn overlap_is_allowed() {
+        // §3: "actorSpaces may overlap arbitrarily" — one actor in many
+        // spaces, with different attributes in each.
+        let r = reg();
+        let s1 = r.create_space(None);
+        let s2 = r.create_space(None);
+        let a = r.create_actor(s1, None).unwrap();
+        let m = MemberId::Actor(a);
+        let (_, mut sink) = collector();
+        r.make_visible(m, vec![path("red")], s1, None, &mut sink)
+            .unwrap();
+        r.make_visible(m, vec![path("blue")], s2, None, &mut sink)
+            .unwrap();
+        assert_eq!(
+            r.with_space(s1, |sp| sp.members()[&m].clone()).unwrap(),
+            vec![path("red")]
+        );
+        assert_eq!(
+            r.with_space(s2, |sp| sp.members()[&m].clone()).unwrap(),
+            vec![path("blue")]
+        );
+        let parents = r.containers_of(m);
+        let mut want = vec![s1, s2];
+        want.sort_unstable();
+        assert_eq!(parents, want);
+    }
+
+    #[test]
+    fn destroy_space_spares_members() {
+        // §5.5: "when an actorSpace is garbage collected, the actors
+        // contained in that actorSpace themselves are not deleted."
+        let r = reg();
+        let s = r.create_space(None);
+        let a = r.create_actor(s, None).unwrap();
+        let m = MemberId::Actor(a);
+        let (_, mut sink) = collector();
+        r.make_visible(m, vec![path("w")], s, None, &mut sink)
+            .unwrap();
+        r.destroy_space(s, None).unwrap();
+        assert!(!r.space_exists(s));
+        assert!(r.actor_exists(a));
+        assert_eq!(r.containers_of(m).len(), 0);
+        // The orphaned actor is re-hosted to the root.
+        assert_eq!(r.actor(a).unwrap().host, ROOT_SPACE);
+    }
+
+    #[test]
+    fn destroy_root_fails() {
+        let r = reg();
+        assert_eq!(
+            r.destroy_space(ROOT_SPACE, None).unwrap_err(),
+            Error::RootImmortal
+        );
+    }
+
+    #[test]
+    fn destroy_guarded_space_needs_manage_right() {
+        let mint = CapMinter::new();
+        let cap = mint.new_capability();
+        let r = reg();
+        let s = r.create_space(Some(&cap));
+        assert!(matches!(r.destroy_space(s, None), Err(Error::Denied(_))));
+        let weak = cap.restrict(Rights::VISIBILITY);
+        assert!(matches!(
+            r.destroy_space(s, Some(&weak)),
+            Err(Error::Denied(_))
+        ));
+        r.destroy_space(s, Some(&cap)).unwrap();
+    }
+
+    #[test]
+    fn space_info_snapshots_membership_and_queues() {
+        let r = reg();
+        let mint = CapMinter::new();
+        let cap = mint.new_capability();
+        let s = r.create_space(Some(&cap));
+        let sub = r.create_space(None);
+        let a = r.create_actor(s, None).unwrap();
+        let (_, mut k) = collector();
+        r.make_visible(a.into(), vec![path("w")], s, None, &mut k)
+            .unwrap();
+        r.make_visible(sub.into(), vec![path("sub")], s, None, &mut k)
+            .unwrap();
+        // One suspended message.
+        r.send(&pattern("ghost"), s, "x", &mut k).unwrap();
+        let info = r.space_info(s).unwrap();
+        assert_eq!(info.actor_members, 1);
+        assert_eq!(info.space_members, 1);
+        assert_eq!(info.pending_messages, 1);
+        assert_eq!(info.persistent_broadcasts, 0);
+        assert!(info.guarded);
+        let sub_info = r.space_info(sub).unwrap();
+        assert!(!sub_info.guarded);
+        assert_eq!(sub_info.actor_members, 0);
+        assert!(r.space_info(SpaceId(404)).is_err());
+    }
+
+    #[test]
+    fn manager_can_veto_visibility() {
+        struct Veto;
+        impl Manager for Veto {
+            fn authorize_visibility(&mut self, _m: MemberId, attrs: &[Path]) -> bool {
+                !attrs.iter().any(|p| p.to_string().starts_with("secret"))
+            }
+        }
+        let r = reg();
+        let s = r.create_space(None);
+        r.set_space_manager(s, Box::new(Veto), None).unwrap();
+        let a = r.create_actor(s, None).unwrap();
+        let (_, mut sink) = collector();
+        assert!(r
+            .make_visible(
+                MemberId::Actor(a),
+                vec![path("secret/x")],
+                s,
+                None,
+                &mut sink
+            )
+            .is_err());
+        r.make_visible(MemberId::Actor(a), vec![path("open/x")], s, None, &mut sink)
+            .unwrap();
+    }
     #[test]
     fn send_reaches_one_matching_actor() {
         let r = reg();
@@ -1636,22 +1980,5 @@ mod tests {
         assert!(!r.actor_exists(a));
         assert!(r.actor_exists(b));
         assert_eq!(r.resolve(&pattern("w"), s).unwrap(), vec![b]);
-    }
-
-    #[test]
-    fn gc_mirrors_single_lock_collector() {
-        let r = reg();
-        let s = r.create_space(None);
-        let a = r.create_actor(s, None).unwrap();
-        let keep = r.create_actor(ROOT_SPACE, None).unwrap();
-        r.add_root(keep);
-        let (_, mut sink) = collector();
-        r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
-            .unwrap();
-        let report = r.collect_garbage(&|_| Vec::new());
-        assert_eq!(report.collected_spaces, vec![s]);
-        assert_eq!(report.collected_actors, vec![a]);
-        assert_eq!(report.live_actors, 1);
-        assert_eq!(report.live_spaces, 1);
     }
 }

@@ -66,6 +66,24 @@ pub struct PersistentBroadcast<M> {
     pub delivered: HashSet<ActorId>,
 }
 
+/// Observability snapshot of one actorSpace (see
+/// [`ShardedRegistry::space_info`](crate::ShardedRegistry::space_info)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpaceInfo {
+    /// The space.
+    pub id: SpaceId,
+    /// Visible actor members.
+    pub actor_members: usize,
+    /// Visible sub-space members.
+    pub space_members: usize,
+    /// Suspended messages waiting for a match (§5.6).
+    pub pending_messages: usize,
+    /// Registered persistent broadcasts (§5.6).
+    pub persistent_broadcasts: usize,
+    /// True when a capability guards the space.
+    pub guarded: bool,
+}
+
 /// One actorSpace: membership table plus manager state.
 pub struct Space<M> {
     id: SpaceId,

@@ -10,47 +10,13 @@
 //! cycles means that a visibility relation graph must be constructed
 //! before an actorSpace is allowed to be visible."
 //!
-//! The graph here *is* the membership tables: an edge `P → C` exists when
-//! space `C` is visible in space `P`. `make_visible(C in P)` is legal iff
-//! `P` is not reachable from `C` (and `C ≠ P`).
+//! An edge `P → C` exists when space `C` is visible in space `P`; the
+//! coordinator mirrors these edges in its meta table. `make_visible(C in P)`
+//! is legal iff `P` is not reachable from `C` (and `C ≠ P`).
 
 use std::collections::{HashMap, HashSet};
 
 use crate::ids::{MemberId, SpaceId};
-use crate::space::Space;
-
-/// Would making `child` visible in `parent` create a cycle? True iff
-/// `child == parent` or `parent` is reachable from `child` through
-/// space-in-space visibility edges.
-pub fn would_cycle<M>(
-    spaces: &HashMap<SpaceId, Space<M>>,
-    child: SpaceId,
-    parent: SpaceId,
-) -> bool {
-    if child == parent {
-        return true;
-    }
-    // DFS from `child` through its visible sub-spaces.
-    let mut stack = vec![child];
-    let mut seen = HashSet::new();
-    seen.insert(child);
-    while let Some(s) = stack.pop() {
-        let Some(space) = spaces.get(&s) else {
-            continue;
-        };
-        for member in space.members().keys() {
-            if let MemberId::Space(sub) = member {
-                if *sub == parent {
-                    return true;
-                }
-                if seen.insert(*sub) {
-                    stack.push(*sub);
-                }
-            }
-        }
-    }
-    false
-}
 
 /// All spaces from which `start` is transitively reachable (the spaces
 /// whose pattern resolutions can descend into `start`), including `start`
@@ -76,7 +42,7 @@ pub fn ancestors(
 
 /// Forward reachability over an explicit edge map `parent → visible
 /// sub-spaces`: every space a pattern resolution scoped to `from` can
-/// descend into, including `from` itself. The sharded coordinator keeps
+/// descend into, including `from` itself. The coordinator keeps
 /// this edge map in its meta table so lock sets can be computed without
 /// touching any shard.
 pub fn reachable(edges: &HashMap<SpaceId, HashSet<SpaceId>>, from: SpaceId) -> HashSet<SpaceId> {
@@ -95,8 +61,8 @@ pub fn reachable(edges: &HashMap<SpaceId, HashSet<SpaceId>>, from: SpaceId) -> H
     out
 }
 
-/// [`would_cycle`] over an explicit edge map instead of the space table:
-/// true iff `child == parent` or `parent` is reachable from `child`.
+/// Would making `child` visible in `parent` create a cycle? True iff
+/// `child == parent` or `parent` is reachable from `child`.
 pub fn would_cycle_edges(
     edges: &HashMap<SpaceId, HashSet<SpaceId>>,
     child: SpaceId,
@@ -105,7 +71,8 @@ pub fn would_cycle_edges(
     child == parent || reachable(edges, child).contains(&parent)
 }
 
-/// [`is_dag`] over an explicit node set + edge map (Kahn's algorithm).
+/// Is the visibility relation over `nodes` acyclic (Kahn's algorithm)? The
+/// §5.7 invariant re-checked after topology mutations and by tests.
 pub fn is_dag_edges(nodes: &HashSet<SpaceId>, edges: &HashMap<SpaceId, HashSet<SpaceId>>) -> bool {
     let mut indegree: HashMap<SpaceId, usize> = nodes.iter().map(|&s| (s, 0)).collect();
     for subs in edges.values() {
@@ -137,97 +104,53 @@ pub fn is_dag_edges(nodes: &HashSet<SpaceId>, edges: &HashMap<SpaceId, HashSet<S
     visited == nodes.len()
 }
 
-/// Validates that the whole visibility relation is acyclic — an invariant
-/// checked by property tests after random operation sequences.
-pub fn is_dag<M>(spaces: &HashMap<SpaceId, Space<M>>) -> bool {
-    // Kahn's algorithm over the space-in-space edges.
-    let mut indegree: HashMap<SpaceId, usize> = spaces.keys().map(|&s| (s, 0)).collect();
-    for space in spaces.values() {
-        for member in space.members().keys() {
-            if let MemberId::Space(sub) = member {
-                if let Some(d) = indegree.get_mut(sub) {
-                    *d += 1;
-                }
-            }
-        }
-    }
-    let mut queue: Vec<SpaceId> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&s, _)| s)
-        .collect();
-    let mut visited = 0usize;
-    while let Some(s) = queue.pop() {
-        visited += 1;
-        let Some(space) = spaces.get(&s) else {
-            continue;
-        };
-        for member in space.members().keys() {
-            if let MemberId::Space(sub) = member {
-                if let Some(d) = indegree.get_mut(sub) {
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(*sub);
-                    }
-                }
-            }
-        }
-    }
-    visited == spaces.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ManagerPolicy;
-    use actorspace_capability::Guard;
 
-    fn mk(n: u64) -> (HashMap<SpaceId, Space<u32>>, Vec<SpaceId>) {
-        let mut spaces = HashMap::new();
-        let ids: Vec<SpaceId> = (0..n).map(SpaceId).collect();
-        for &id in &ids {
-            spaces.insert(id, Space::new(id, Guard::Open, ManagerPolicy::default()));
-        }
-        (spaces, ids)
+    type Edges = HashMap<SpaceId, HashSet<SpaceId>>;
+
+    fn nodes(n: u64) -> HashSet<SpaceId> {
+        (0..n).map(SpaceId).collect()
     }
 
-    fn link<M>(spaces: &mut HashMap<SpaceId, Space<M>>, child: SpaceId, parent: SpaceId) {
-        spaces
-            .get_mut(&parent)
-            .unwrap()
-            .add_member(MemberId::Space(child), vec![actorspace_atoms::path("x")]);
+    /// `child` visible in `parent`: the edge `parent → child`.
+    fn link(edges: &mut Edges, child: u64, parent: u64) {
+        edges
+            .entry(SpaceId(parent))
+            .or_default()
+            .insert(SpaceId(child));
     }
 
     #[test]
     fn self_loop_detected() {
-        let (spaces, ids) = mk(1);
-        assert!(would_cycle(&spaces, ids[0], ids[0]));
+        assert!(would_cycle_edges(&Edges::new(), SpaceId(0), SpaceId(0)));
     }
 
     #[test]
     fn chain_is_fine_but_closing_it_is_not() {
-        let (mut spaces, ids) = mk(3);
+        let mut edges = Edges::new();
         // 0 visible in 1, 1 visible in 2: edges 1→0, 2→1.
-        link(&mut spaces, ids[0], ids[1]);
-        link(&mut spaces, ids[1], ids[2]);
-        assert!(is_dag(&spaces));
+        link(&mut edges, 0, 1);
+        link(&mut edges, 1, 2);
+        assert!(is_dag_edges(&nodes(3), &edges));
         // Closing the loop: 2 visible in 0 would cycle.
-        assert!(would_cycle(&spaces, ids[2], ids[0]));
+        assert!(would_cycle_edges(&edges, SpaceId(2), SpaceId(0)));
         // A diamond is fine: 0 visible in 2 directly.
-        assert!(!would_cycle(&spaces, ids[0], ids[2]));
-        link(&mut spaces, ids[0], ids[2]);
-        assert!(is_dag(&spaces));
+        assert!(!would_cycle_edges(&edges, SpaceId(0), SpaceId(2)));
+        link(&mut edges, 0, 2);
+        assert!(is_dag_edges(&nodes(3), &edges));
     }
 
     #[test]
     fn deep_chain_reachability() {
-        let (mut spaces, ids) = mk(50);
-        for w in ids.windows(2) {
-            link(&mut spaces, w[0], w[1]); // i visible in i+1
+        let mut edges = Edges::new();
+        for i in 0..49 {
+            link(&mut edges, i, i + 1); // i visible in i+1
         }
-        assert!(would_cycle(&spaces, *ids.last().unwrap(), ids[0]));
-        assert!(!would_cycle(&spaces, ids[0], *ids.last().unwrap()));
-        assert!(is_dag(&spaces));
+        assert!(would_cycle_edges(&edges, SpaceId(49), SpaceId(0)));
+        assert!(!would_cycle_edges(&edges, SpaceId(0), SpaceId(49)));
+        assert!(is_dag_edges(&nodes(50), &edges));
     }
 
     #[test]
@@ -243,33 +166,22 @@ mod tests {
     }
 
     #[test]
-    fn edge_map_helpers_mirror_space_table_walks() {
-        // edges: 2 → {1}, 1 → {0} (0 visible in 1, 1 visible in 2)
-        let mut edges: HashMap<SpaceId, HashSet<SpaceId>> = HashMap::new();
-        edges.insert(SpaceId(2), [SpaceId(1)].into());
-        edges.insert(SpaceId(1), [SpaceId(0)].into());
-        let nodes: HashSet<SpaceId> = [SpaceId(0), SpaceId(1), SpaceId(2)].into();
-
+    fn reachable_walks_forward_edges() {
+        let mut edges = Edges::new();
+        link(&mut edges, 1, 2);
+        link(&mut edges, 0, 1);
         assert_eq!(
             reachable(&edges, SpaceId(2)),
             [SpaceId(0), SpaceId(1), SpaceId(2)].into()
         );
         assert_eq!(reachable(&edges, SpaceId(0)), [SpaceId(0)].into());
-        assert!(would_cycle_edges(&edges, SpaceId(0), SpaceId(0)));
-        assert!(would_cycle_edges(&edges, SpaceId(2), SpaceId(0)));
-        assert!(!would_cycle_edges(&edges, SpaceId(0), SpaceId(2)));
-        assert!(is_dag_edges(&nodes, &edges));
-
-        edges.get_mut(&SpaceId(1)).unwrap().insert(SpaceId(2));
-        assert!(!is_dag_edges(&nodes, &edges));
     }
 
     #[test]
     fn is_dag_rejects_manufactured_cycle() {
-        let (mut spaces, ids) = mk(2);
-        // Bypass would_cycle to build a bad graph directly.
-        link(&mut spaces, ids[0], ids[1]);
-        link(&mut spaces, ids[1], ids[0]);
-        assert!(!is_dag(&spaces));
+        let mut edges = Edges::new();
+        link(&mut edges, 0, 1);
+        link(&mut edges, 1, 0);
+        assert!(!is_dag_edges(&nodes(2), &edges));
     }
 }

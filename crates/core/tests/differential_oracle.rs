@@ -1,16 +1,19 @@
-//! Differential oracle for the sharded coordinator.
+//! Differential oracle for the coordinator.
 //!
-//! The seed's single-lock [`Registry`] is the executable specification of
-//! the ActorSpace model; [`ShardedRegistry`] reimplements it behind
-//! per-space shard locks. This test replays random operation sequences —
+//! `spec/mod.rs` is a deliberately naive executable specification of the
+//! ActorSpace model: one map of spaces, resolution by enumerating joined
+//! attribute paths, no index and no locks. [`ShardedRegistry`] implements
+//! the same model behind per-space shard locks, with a literal-pattern
+//! index and an NFA walk. This test replays random operation sequences —
 //! create/destroy, visibility churn (§5.7), sends and broadcasts with the
-//! §5.6 unmatched-message policies — against *both* coordinators built
-//! with the same deterministic selection seed, and asserts they agree on:
+//! §5.6 unmatched-message policies, garbage collection — against both,
+//! built with the same deterministic selection seed, and asserts they
+//! agree on:
 //!
 //! * per-operation results (`Disposition`s and errors),
-//! * the delivery multiset produced by each operation (the sharded wake
-//!   sweep visits spaces in ascending-id order while the reference sweeps
-//!   a hash set, so cross-space interleaving may differ — but the set of
+//! * the delivery multiset produced by each operation (the coordinator's
+//!   wake sweep visits spaces in ascending-id order while the spec sweeps
+//!   a hash map, so cross-space interleaving may differ — but the set of
 //!   deliveries, with multiplicity, must not),
 //! * the suspended-message set and persistent-broadcast table of every
 //!   space, including each broadcast's exactly-once `delivered` set,
@@ -26,11 +29,14 @@ use std::collections::BTreeSet;
 use actorspace_atoms::{path, Path};
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, GcReport, MemberId, Registry, Result, Route, ShardedRegistry, SpaceId,
-    SpaceInfo, ROOT_SPACE,
+    ActorId, Disposition, GcReport, MemberId, Result, Route, ShardedRegistry, SpaceId, SpaceInfo,
+    ROOT_SPACE,
 };
 use actorspace_pattern::{pattern, Pattern};
 use proptest::prelude::*;
+
+mod spec;
+use spec::Spec;
 
 type Msg = u64;
 /// One operation's deliveries, compared as a multiset (sorted).
@@ -64,6 +70,11 @@ fn pat(i: usize) -> Pattern {
         _ => pattern("{srv/fib, pool/deep/worker}"), // alternation
     }
 }
+
+/// Literal patterns that can only match through nested spaces (a space
+/// attribute joined with an actor attribute), so the final resolve panel
+/// also exercises the literal index's prefix-stripping descent.
+const NESTED_LITERALS: [&str; 4] = ["w/w", "w/srv/fib", "srv/fact/w", "srv/fib/srv/fact"];
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -150,9 +161,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The common surface the differential test drives. Both coordinators
-/// implement the same model API; the trait just papers over `&mut self`
-/// (single-lock) vs `&self` (sharded) receivers.
+/// The common surface the differential test drives. The spec and the
+/// coordinator implement the same model API; the trait just papers over
+/// `&mut self` (spec) vs `&self` (coordinator) receivers.
 trait Coordinator {
     fn create_space(&mut self) -> SpaceId;
     fn create_actor(&mut self, host: SpaceId) -> Result<ActorId>;
@@ -200,6 +211,8 @@ trait Coordinator {
     fn persistent_set(&self, space: SpaceId) -> Vec<(String, Msg, Vec<ActorId>)>;
     fn containers_of(&self, member: MemberId) -> Vec<SpaceId>;
     fn resolve(&self, pattern: &Pattern, scope: SpaceId) -> Result<Vec<ActorId>>;
+    /// Is the space-in-space visibility relation acyclic (§5.7)?
+    fn is_dag(&self) -> bool;
 }
 
 fn pending_of<M: Clone + Ord>(sp: &actorspace_core::Space<M>) -> Vec<(String, M, bool)> {
@@ -232,12 +245,12 @@ fn persistent_of<M: Clone + Ord>(sp: &actorspace_core::Space<M>) -> Vec<(String,
     v
 }
 
-impl Coordinator for Registry<Msg> {
+impl Coordinator for Spec<Msg> {
     fn create_space(&mut self) -> SpaceId {
-        Registry::create_space(self, None)
+        Spec::create_space(self)
     }
     fn create_actor(&mut self, host: SpaceId) -> Result<ActorId> {
-        Registry::create_actor(self, host, None)
+        Spec::create_actor(self, host)
     }
     fn make_visible(
         &mut self,
@@ -246,11 +259,10 @@ impl Coordinator for Registry<Msg> {
         space: SpaceId,
         out: &mut Deliveries,
     ) -> Result<()> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::make_visible(self, member, attrs, space, None, &mut sink)
+        Spec::make_visible(self, member, attrs, space, out)
     }
     fn make_invisible(&mut self, member: MemberId, space: SpaceId) -> Result<()> {
-        Registry::make_invisible(self, member, space, None)
+        Spec::make_invisible(self, member, space)
     }
     fn change_attributes(
         &mut self,
@@ -259,11 +271,10 @@ impl Coordinator for Registry<Msg> {
         space: SpaceId,
         out: &mut Deliveries,
     ) -> Result<()> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::change_attributes(self, member, attrs, space, None, &mut sink)
+        Spec::change_attributes(self, member, attrs, space, out)
     }
     fn destroy_space(&mut self, space: SpaceId) -> Result<()> {
-        Registry::destroy_space(self, space, None)
+        Spec::destroy_space(self, space)
     }
     fn send(
         &mut self,
@@ -272,8 +283,7 @@ impl Coordinator for Registry<Msg> {
         msg: Msg,
         out: &mut Deliveries,
     ) -> Result<Disposition> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::send(self, pattern, scope, msg, &mut sink)
+        Spec::send(self, pattern, scope, msg, out)
     }
     fn broadcast(
         &mut self,
@@ -282,44 +292,37 @@ impl Coordinator for Registry<Msg> {
         msg: Msg,
         out: &mut Deliveries,
     ) -> Result<Disposition> {
-        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
-        Registry::broadcast(self, pattern, scope, msg, &mut sink)
+        Spec::broadcast(self, pattern, scope, msg, out)
     }
     fn cancel_persistent(&mut self, space: SpaceId) -> Result<usize> {
-        Registry::cancel_persistent(self, space, None)
+        Spec::cancel_persistent(self, space)
     }
     fn collect(&mut self) -> GcReport {
-        Registry::collect_garbage(self, &|_| Vec::new())
+        Spec::collect_garbage(self)
     }
     fn space_ids(&self) -> Vec<SpaceId> {
-        let mut v: Vec<SpaceId> = Registry::space_ids(self).collect();
-        v.sort();
-        v
+        Spec::space_ids(self)
     }
     fn actor_ids(&self) -> Vec<ActorId> {
-        let mut v: Vec<ActorId> = Registry::actor_ids(self).collect();
-        v.sort();
-        v
+        Spec::actor_ids(self)
     }
     fn info(&self, space: SpaceId) -> Option<SpaceInfo> {
-        Registry::space_info(self, space).ok()
+        Spec::space_info(self, space)
     }
     fn pending_set(&self, space: SpaceId) -> Vec<(String, Msg, bool)> {
-        self.space(space).map(pending_of).unwrap_or_default()
+        Spec::pending_set(self, space)
     }
     fn persistent_set(&self, space: SpaceId) -> Vec<(String, Msg, Vec<ActorId>)> {
-        self.space(space).map(persistent_of).unwrap_or_default()
+        Spec::persistent_set(self, space)
     }
     fn containers_of(&self, member: MemberId) -> Vec<SpaceId> {
-        let mut v: Vec<SpaceId> = Registry::containers_of(self, member).collect();
-        v.sort();
-        v
+        Spec::containers_of(self, member)
     }
     fn resolve(&self, pattern: &Pattern, scope: SpaceId) -> Result<Vec<ActorId>> {
-        Registry::resolve(self, pattern, scope).map(|mut v| {
-            v.sort();
-            v
-        })
+        Spec::resolve(self, pattern, scope)
+    }
+    fn is_dag(&self) -> bool {
+        Spec::is_dag(self)
     }
 }
 
@@ -405,6 +408,9 @@ impl Coordinator for ShardedRegistry<Msg> {
             v.sort();
             v
         })
+    }
+    fn is_dag(&self) -> bool {
+        ShardedRegistry::is_dag(self)
     }
 }
 
@@ -504,23 +510,23 @@ fn apply(
     (outcome, out)
 }
 
-/// Runs a sequence against both coordinators and asserts observational
-/// equivalence per op and on the final state.
+/// Runs a sequence against the spec and the coordinator and asserts
+/// observational equivalence per op and on the final state.
 fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
-    let mut reference: Registry<Msg> = Registry::new(policy(unmatched));
+    let mut reference: Spec<Msg> = Spec::new(policy(unmatched));
     let mut sharded: ShardedRegistry<Msg> = ShardedRegistry::new(policy(unmatched));
 
     // Seed both with the same starting universe.
     let mut spaces = vec![ROOT_SPACE];
     let mut actors = Vec::new();
     for _ in 0..3 {
-        let a = reference.create_space(None);
+        let a = reference.create_space();
         let b = sharded.create_space(None);
         assert_eq!(a, b, "space id streams diverged at birth");
         spaces.push(a);
     }
     for _ in 0..4 {
-        let a = Registry::create_actor(&mut reference, ROOT_SPACE, None).unwrap();
+        let a = Spec::create_actor(&mut reference, ROOT_SPACE).unwrap();
         let b = ShardedRegistry::create_actor(&sharded, ROOT_SPACE, None).unwrap();
         assert_eq!(a, b, "actor id streams diverged at birth");
         actors.push(a);
@@ -547,7 +553,14 @@ fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
         Coordinator::actor_ids(&sharded),
         "actor tables diverged"
     );
-    assert!(sharded.is_dag(), "sharded visibility relation has a cycle");
+    assert!(
+        Coordinator::is_dag(&reference),
+        "spec visibility relation has a cycle"
+    );
+    assert!(
+        Coordinator::is_dag(&sharded),
+        "sharded visibility relation has a cycle"
+    );
 
     for &s in &ref_spaces {
         assert_eq!(
@@ -570,12 +583,14 @@ fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
             Coordinator::containers_of(&sharded, s.into()),
             "containers diverged for {s:?}"
         );
-        for p in 0..6 {
+        let panel = (0..6)
+            .map(pat)
+            .chain(NESTED_LITERALS.iter().map(|p| pattern(p)));
+        for p in panel {
             assert_eq!(
-                Coordinator::resolve(&reference, &pat(p), s),
-                Coordinator::resolve(&sharded, &pat(p), s),
-                "resolve({}) diverged in {s:?}",
-                pat(p)
+                Coordinator::resolve(&reference, &p, s),
+                Coordinator::resolve(&sharded, &p, s),
+                "resolve({p}) diverged in {s:?}"
             );
         }
     }
@@ -631,4 +646,35 @@ proptest! {
     fn sharded_equals_reference_error(ops in proptest::collection::vec(arb_op(), 0..70)) {
         run_differential(&ops, UnmatchedPolicy::Error);
     }
+}
+
+/// GC on a fixed universe: a rooted actor in the root space survives, and a
+/// space nobody references is collected together with its only member.
+#[test]
+fn gc_matches_spec() {
+    let mut spec: Spec<Msg> = Spec::new(policy(UnmatchedPolicy::Suspend));
+    let sharded: ShardedRegistry<Msg> = ShardedRegistry::new(policy(UnmatchedPolicy::Suspend));
+    let mut sink = |_: ActorId, _: Msg, _: Option<&Route>| {};
+    let mut out = Deliveries::new();
+
+    let s = spec.create_space();
+    assert_eq!(s, sharded.create_space(None));
+    let a = spec.create_actor(s).unwrap();
+    assert_eq!(a, sharded.create_actor(s, None).unwrap());
+    let keep = spec.create_actor(ROOT_SPACE).unwrap();
+    assert_eq!(keep, sharded.create_actor(ROOT_SPACE, None).unwrap());
+    spec.add_root(keep);
+    sharded.add_root(keep);
+    spec.make_visible(a.into(), vec![path("w")], s, &mut out)
+        .unwrap();
+    sharded
+        .make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+        .unwrap();
+
+    let report = sharded.collect_garbage(&|_| Vec::new());
+    assert_eq!(report, spec.collect_garbage());
+    assert_eq!(report.collected_spaces, vec![s]);
+    assert_eq!(report.collected_actors, vec![a]);
+    assert_eq!(report.live_actors, 1);
+    assert_eq!(report.live_spaces, 1);
 }

@@ -82,7 +82,7 @@ pub struct ClusterConfig {
     pub protocol: OrderingProtocol,
     /// Token hop time (token-bus protocol only).
     pub token_hop: Duration,
-    /// Registry policy template for every node.
+    /// Coordinator policy template for every node.
     pub policy: ManagerPolicy,
     /// Data-plane retransmission period.
     pub retx_every: Duration,
@@ -584,8 +584,9 @@ impl Cluster {
     }
 
     /// Subscribes to the observability stream and returns a live
-    /// [`ClusterView`] that converges on every node's published metrics
-    /// and tracks per-peer staleness through the failure detector.
+    /// [`ClusterView`](actorspace_obs::ClusterView) that converges on every
+    /// node's published metrics and tracks per-peer staleness through the
+    /// failure detector.
     ///
     /// # Panics
     ///

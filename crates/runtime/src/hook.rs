@@ -2,13 +2,14 @@
 //! external coordinator.
 //!
 //! On a single node, visibility operations apply directly to the local
-//! [`Registry`](actorspace_core::Registry). In a cluster (§7.3), "the
-//! current design needs a global ordering on individual broadcasts between
-//! coordinators to order visibility changes globally, so that all nodes
-//! have the same view of visibility" — so every state-changing primitive
-//! must go through the coordinator bus instead of mutating local state
-//! immediately. Installing a [`CoordinatorHook`] reroutes the primitives
-//! invoked by behaviors ([`Ctx`](crate::Ctx)) and by the system API.
+//! [`ShardedRegistry`](actorspace_core::ShardedRegistry). In a cluster
+//! (§7.3), "the current design needs a global ordering on individual
+//! broadcasts between coordinators to order visibility changes globally,
+//! so that all nodes have the same view of visibility" — so every
+//! state-changing primitive must go through the coordinator bus instead of
+//! mutating local state immediately. Installing a [`CoordinatorHook`]
+//! reroutes the primitives invoked by behaviors ([`Ctx`](crate::Ctx)) and
+//! by the system API.
 //!
 //! Hook implementations typically return before the operation has applied
 //! anywhere; the suspended-message semantics of §5.6 absorb the resulting

@@ -3,8 +3,9 @@
 //! Each node associates "all the executing actors on a node with a single
 //! local coordinator". Here:
 //!
-//! * the **Coordinator** state is an [`actorspace_core::Registry`] behind a
-//!   lock, carrying out every ActorSpace primitive;
+//! * the **Coordinator** state is an [`actorspace_core::ShardedRegistry`],
+//!   carrying out every ActorSpace primitive; it locks per actorSpace, so
+//!   it sits behind no node-wide mutex;
 //! * the **ActorInterface** is [`Ctx`], the handle behaviors use to invoke
 //!   primitives (create / send / become / make_visible / …);
 //! * the **three message ports** of the prototype (Behavior, Invocation,

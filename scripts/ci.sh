@@ -17,6 +17,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -41,7 +44,7 @@ echo "==> shard stress (multi-threaded coordinator tests under parallel harness)
 RUST_TEST_THREADS=4 cargo test --release -p actorspace-core \
   --test shard_stress --test shard_wakeup --test differential_oracle -q
 
-echo "==> E14 quick (sharded vs global-lock send throughput must stay ~parity)"
+echo "==> E14 quick (one coordinator, per-space shards vs one global mutex around it)"
 E14_QUICK=1 cargo run --release -p actorspace-bench --bin experiments e14
 
 echo "==> E15 quick (obs delta streaming: views must converge; overhead report)"
