@@ -51,6 +51,7 @@ use actorspace_runtime::{
 
 use crate::bus::{Applier, BusEvent, BusOp, EventLog, OrderedBroadcast, SeqEvent};
 use crate::directory::{id_base, id_range, node_of_actor, node_of_raw, NodeId};
+use crate::event_loop::EventLoop;
 use crate::failure::{FailureConfig, FailureDetector};
 use crate::link::{Link, LinkConfig};
 use crate::obs_stream::ObsStream;
@@ -332,6 +333,9 @@ pub struct Cluster {
     obs_stream: Option<Arc<ObsStream>>,
     service_stop: Arc<AtomicBool>,
     service: Mutex<Option<JoinHandle<()>>>,
+    /// One event loop per node, running every link and timer that belongs
+    /// to the node; emptied (stopped and joined) by `shutdown`.
+    loops: Mutex<Vec<EventLoop>>,
 }
 
 impl Cluster {
@@ -372,7 +376,13 @@ impl Cluster {
             })
             .collect();
 
-        // 2. Data plane: reliable pipes for every ordered pair. Messages
+        // 2. One event loop per node: each link runs on its receiving
+        // node's loop, each timer on the loop of the node it belongs to.
+        let loops: Vec<EventLoop> = (0..n)
+            .map(|i| EventLoop::new(format!("actorspace-loop@{i}")))
+            .collect();
+
+        // 3. Data plane: reliable pipes for every ordered pair. Messages
         // cross the wire encoded (§5 data representation); decode failures
         // are impossible for packets our own nodes produced, but are
         // counted defensively as dead letters. A down destination rejects
@@ -383,6 +393,9 @@ impl Cluster {
         // already harvested.
         let decode_failures: Vec<Arc<Counter>> = (0..n)
             .map(|i| obs.metrics.counter(names::NET_DECODE_FAILURES, i as u16))
+            .collect();
+        let retransmits: Vec<Arc<Counter>> = (0..n)
+            .map(|i| obs.metrics.counter(names::NET_RETRANSMITS, i as u16))
             .collect();
         let mut data_pipes: PipeGrid = (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
         for (src, row) in data_pipes.iter_mut().enumerate() {
@@ -400,8 +413,11 @@ impl Cluster {
                     ..config.data_link.clone()
                 };
                 *pipe_slot = Some(Arc::new(ReliablePipe::new(
+                    loops[src].handle(),
+                    loops[dst].handle(),
                     cfg,
                     config.retx_every,
+                    retransmits[src].clone(),
                     move |pkt: WirePacket| {
                         let system = slot.system.read();
                         if !slot.is_up() {
@@ -422,11 +438,11 @@ impl Cluster {
         }
         let data_pipes = Arc::new(data_pipes);
 
-        // 3. Bus downlinks. Every downlink records into the shared event
+        // 4. Bus downlinks. Every downlink records into the shared event
         // log (idempotent per sequence number) — the log is the retained
         // history a restarted node replays to reconverge its replica.
         let log = Arc::new(EventLog::new());
-        let downlinks: Vec<Arc<Link<SeqEvent>>> = slots
+        let downlinks: Vec<Link<SeqEvent>> = slots
             .iter()
             .enumerate()
             .map(|(i, slot)| {
@@ -438,28 +454,31 @@ impl Cluster {
                     dup_prob: 0.0,
                     ..config.bus_link.clone()
                 };
-                Arc::new(Link::new(cfg, move |e: SeqEvent| {
+                Link::new(loops[i].handle(), cfg, move |e: SeqEvent| {
                     log.record(&e);
                     if slot.is_up() {
                         let applier = slot.applier.read().clone();
                         applier.on_event(e);
                     }
-                }))
+                })
             })
             .collect();
 
-        // 4. The ordering protocol.
+        // 5. The ordering protocol, stamping on node 0's loop.
+        let stamper = loops[0].handle();
         let bus: Arc<dyn OrderedBroadcast> = match config.protocol {
             OrderingProtocol::Sequencer => {
-                Arc::new(Sequencer::new(config.bus_link.clone(), downlinks))
+                Arc::new(Sequencer::new(stamper, config.bus_link.clone(), downlinks))
             }
-            OrderingProtocol::TokenBus => Arc::new(TokenBus::new(n, config.token_hop, downlinks)),
+            OrderingProtocol::TokenBus => {
+                Arc::new(TokenBus::new(stamper, n, config.token_hop, downlinks))
+            }
         };
 
-        // 5. Failure detector + heartbeat inboxes. Heartbeats ride
+        // 6. Failure detector + heartbeat inboxes. Heartbeats ride
         // loss-free links like the bus; the miss budget absorbs jitter.
         let detector = Arc::new(FailureDetector::new(n, config.failure.clone()));
-        let hb_links: Vec<Arc<Link<NodeId>>> = (0..n)
+        let hb_links: Vec<Link<NodeId>> = (0..n)
             .map(|i| {
                 let det = detector.clone();
                 let cfg = LinkConfig {
@@ -468,21 +487,37 @@ impl Cluster {
                     dup_prob: 0.0,
                     ..config.bus_link.clone()
                 };
-                Arc::new(Link::new(cfg, move |from: NodeId| {
+                Link::new(loops[i].handle(), cfg, move |from: NodeId| {
                     det.beat(i, from.0 as usize);
-                }))
+                })
             })
             .collect();
 
-        // 6. Hooks (bus rerouting), uplinks (data forwarding + failover
-        // bouncing), the observability stream, and node handles.
+        // 7. The observability stream: subscribers observe from node 0's
+        // loop; each node publishes from its own loop while it is up. The
+        // stream keeps the delta state, so the frame sequence stays
+        // continuous across restarts.
         let obs_stream: Option<Arc<ObsStream>> = config.obs_publish.map(|every| {
             let cfg = LinkConfig {
                 seed: config.bus_link.seed.wrapping_add(424_243),
                 ..config.bus_link.clone()
             };
-            Arc::new(ObsStream::new(n, every, cfg))
+            Arc::new(ObsStream::new(loops[0].handle(), n, every, cfg))
         });
+        if let Some(stream) = &obs_stream {
+            for (i, lp) in loops.iter().enumerate() {
+                let (stream, obs, slot) = (stream.clone(), obs.clone(), slots[i].clone());
+                lp.handle().every(stream.every(), move || {
+                    if slot.is_up() {
+                        stream.publish(i as u16, &obs);
+                    }
+                    true
+                });
+            }
+        }
+
+        // 8. Hooks (bus rerouting), uplinks (data forwarding + failover
+        // bouncing), and node handles.
         let requeue: BounceQueue =
             Arc::new(Mutex::new(LockClass::Other("net.bounce"), VecDeque::new()));
         let forwarded: Vec<Arc<Counter>> = (0..n)
@@ -500,7 +535,6 @@ impl Cluster {
                 &forwarded[i],
                 &detector,
                 &requeue,
-                obs_stream.as_ref(),
             );
             nodes.push(NodeHandle {
                 inner: Arc::new(NodeInner {
@@ -513,7 +547,7 @@ impl Cluster {
             });
         }
 
-        // 7. The service thread: heartbeats, suspicion sweeps, journal
+        // 9. The service thread: heartbeats, suspicion sweeps, journal
         // draining, and bounce-queue re-resolution.
         let service_stop = Arc::new(AtomicBool::new(false));
         let service = spawn_service(ServiceCtx {
@@ -526,9 +560,6 @@ impl Cluster {
             obs: obs.clone(),
             heartbeats: (0..n)
                 .map(|i| obs.metrics.counter(names::NET_HEARTBEATS, i as u16))
-                .collect(),
-            retransmits: (0..n)
-                .map(|i| obs.metrics.counter(names::NET_RETRANSMITS, i as u16))
                 .collect(),
             reroute_ns: (0..n)
                 .map(|i| {
@@ -554,6 +585,7 @@ impl Cluster {
             obs_stream,
             service_stop,
             service: Mutex::new(LockClass::Other("net.service"), Some(service)),
+            loops: Mutex::new(LockClass::Other("net.loops"), loops),
         }
     }
 
@@ -672,7 +704,6 @@ impl Cluster {
             &self.nodes[i].inner.forwarded,
             &self.detector,
             &self.requeue,
-            self.obs_stream.as_ref(),
         );
         self.obs.metrics.counter(names::NET_RESTARTS, me.0).inc();
         {
@@ -752,7 +783,10 @@ impl Cluster {
         true
     }
 
-    /// Stops the service thread and every node.
+    /// Stops the service thread, every node, and the nodes' event loops.
+    /// The loops are stopped explicitly because their links' deliver
+    /// closures hold handles onto each other's loops, so no loop would
+    /// ever see its channel close.
     pub fn shutdown(&self) {
         self.service_stop.store(true, Ordering::Release);
         if let Some(h) = self.service.lock().take() {
@@ -761,6 +795,8 @@ impl Cluster {
         for slot in &self.slots {
             slot.system().shutdown();
         }
+        let loops = std::mem::take(&mut *self.loops.lock());
+        drop(loops);
     }
 }
 
@@ -790,7 +826,6 @@ fn install_plumbing(
     forwarded: &Arc<Counter>,
     detector: &Arc<FailureDetector>,
     requeue: &BounceQueue,
-    stream: Option<&Arc<ObsStream>>,
 ) {
     system.set_coordinator_hook(Arc::new(ClusterHook {
         node: me,
@@ -805,30 +840,19 @@ fn install_plumbing(
         detector: detector.clone(),
         requeue: requeue.clone(),
     }));
-    // The publisher is per-incarnation (it dies with the system's worker
-    // pool on kill_node and is respawned here on restart), but its delta
-    // state lives in the stream, so the frame sequence stays continuous.
-    if let Some(stream) = stream {
-        let stream = stream.clone();
-        let obs = obs.clone();
-        system.spawn_periodic("obs-pub", stream.every(), move || {
-            stream.publish(me.0, &obs);
-        });
-    }
 }
 
 /// Everything the service thread needs.
 struct ServiceCtx {
     slots: Vec<Arc<NodeSlot>>,
-    hb_links: Vec<Arc<Link<NodeId>>>,
+    hb_links: Vec<Link<NodeId>>,
     detector: Arc<FailureDetector>,
     bus: Arc<dyn OrderedBroadcast>,
     pipes: Arc<PipeGrid>,
     requeue: BounceQueue,
     obs: Arc<Obs>,
-    /// `net.heartbeats` / `net.retransmits` handles, indexed by node.
+    /// `net.heartbeats` handles, indexed by node.
     heartbeats: Vec<Arc<Counter>>,
-    retransmits: Vec<Arc<Counter>>,
     /// Bounce-to-resend latency, recorded on the surviving node's label.
     reroute_ns: Vec<Arc<Histogram>>,
     stream: Option<Arc<ObsStream>>,
@@ -848,7 +872,6 @@ fn spawn_service(ctx: ServiceCtx) -> JoinHandle<()> {
         .name("actorspace-cluster-svc".into())
         .spawn(move || {
             let n = ctx.slots.len();
-            let mut seen_retx = vec![vec![0u64; n]; n];
             while !ctx.stop.load(Ordering::Acquire) {
                 // (1) Heartbeats: live nodes beat to every peer.
                 for (i, slot) in ctx.slots.iter().enumerate() {
@@ -859,21 +882,6 @@ fn spawn_service(ctx: ServiceCtx) -> JoinHandle<()> {
                         if i != j {
                             hb.send(NodeId(i as u16));
                             ctx.heartbeats[i].inc();
-                        }
-                    }
-                }
-
-                // Fold the pipes' monotone retransmission totals into the
-                // sending node's `net.retransmits` counter.
-                for (i, row) in ctx.pipes.iter().enumerate() {
-                    for (j, pipe) in row.iter().enumerate() {
-                        if let Some(pipe) = pipe {
-                            let total = pipe.retransmits();
-                            let seen = &mut seen_retx[i][j];
-                            if total > *seen {
-                                ctx.retransmits[i].add(total - *seen);
-                                *seen = total;
-                            }
                         }
                     }
                 }

@@ -18,9 +18,12 @@
 //!
 //! * **Nodes** are full [`ActorSystem`](actorspace_runtime::ActorSystem)s
 //!   with disjoint address ranges ([`directory`]).
-//! * **Links** ([`link`]) are in-memory channels with configurable latency,
-//!   jitter, drop, and duplication; [`reliable`] adds seq/ack/retransmit so
-//!   data delivery stays "only finitely delayed" (§5.6) under faults.
+//! * **One event loop per node** ([`event_loop`]) runs every link and
+//!   timer of that node; a node's other threads are its workers.
+//! * **Links** ([`link`]) are handles onto the receiving node's loop, which
+//!   imposes latency, jitter, drop, and duplication from each link's own
+//!   seeded RNG; [`reliable`] adds seq/ack/retransmit so data delivery
+//!   stays "only finitely delayed" (§5.6) under faults.
 //! * **The coordinator bus** carries state-change events ([`bus`]) under a
 //!   global total order, via either of the two protocols the paper cites:
 //!   a centralized [`sequencer`] (Chang–Maxemchuk style \[9]) or a rotating
@@ -38,6 +41,7 @@
 pub mod bus;
 pub mod cluster;
 pub mod directory;
+pub mod event_loop;
 pub mod failure;
 pub mod link;
 pub mod obs_stream;

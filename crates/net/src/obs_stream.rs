@@ -26,6 +26,7 @@ use std::time::Duration;
 use actorspace_lockcheck::{LockClass, Mutex, RwLock};
 use actorspace_obs::{ClusterView, Obs, Snapshot, SnapshotDelta};
 
+use crate::event_loop::LoopHandle;
 use crate::link::{Link, LinkConfig};
 
 /// One delta frame on the observability stream.
@@ -47,13 +48,14 @@ struct PubState {
 }
 
 struct Subscriber {
-    link: Arc<Link<ObsFrame>>,
+    link: Link<ObsFrame>,
     view: Arc<ClusterView>,
 }
 
 /// Fan-out hub for delta-encoded snapshot frames.
 pub struct ObsStream {
     every: Duration,
+    lp: LoopHandle,
     link_cfg: LinkConfig,
     states: Vec<Mutex<PubState>>,
     subs: RwLock<Vec<Subscriber>>,
@@ -62,12 +64,14 @@ pub struct ObsStream {
 
 impl ObsStream {
     /// A stream for `nodes` publishers, each expected to publish every
-    /// `every`. Subscriber links inherit latency/jitter from `link_cfg`
-    /// but are loss-free: the delta codec assumes in-stream frames are
-    /// eventually delivered (reordering and duplication are fine).
-    pub fn new(nodes: usize, every: Duration, link_cfg: LinkConfig) -> ObsStream {
+    /// `every`. Subscribers observe from `lp`'s loop, over links that
+    /// inherit latency/jitter from `link_cfg` but are loss-free: the delta
+    /// codec assumes in-stream frames are eventually delivered (reordering
+    /// and duplication are fine).
+    pub fn new(lp: &LoopHandle, nodes: usize, every: Duration, link_cfg: LinkConfig) -> ObsStream {
         ObsStream {
             every,
+            lp: lp.clone(),
             link_cfg: LinkConfig {
                 drop_prob: 0.0,
                 dup_prob: 0.0,
@@ -146,9 +150,9 @@ impl ObsStream {
             seed: self.link_cfg.seed.wrapping_add(idx.wrapping_mul(0x9e37)),
             ..self.link_cfg
         };
-        let link = Arc::new(Link::new(cfg, move |f: ObsFrame| {
+        let link = Link::new(&self.lp, cfg, move |f: ObsFrame| {
             sink.apply_frame(f.node, f.seq, f.delta);
-        }));
+        });
         self.subs.write().push(Subscriber {
             link,
             view: view.clone(),

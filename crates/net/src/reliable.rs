@@ -18,12 +18,13 @@
 //! ever duplicating one that did land.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
-use actorspace_lockcheck::{Condvar, LockClass, Mutex};
+use actorspace_lockcheck::{LockClass, Mutex};
+use actorspace_obs::Counter;
 
+use crate::event_loop::LoopHandle;
 use crate::link::{Link, LinkConfig};
 
 /// A numbered packet or an acknowledgment.
@@ -43,119 +44,62 @@ pub enum Packet<T> {
     },
 }
 
+/// A journalled packet and when it last went on the wire.
+struct Unacked<T> {
+    payload: T,
+    sent: Instant,
+}
+
 struct SenderState<T> {
-    unacked: HashMap<u64, T>,
+    unacked: HashMap<u64, Unacked<T>>,
     next_seq: u64,
 }
 
-/// Signals the retransmit thread to exit without waiting out its period.
-struct StopFlag {
-    stopped: Mutex<bool>,
-    cv: Condvar,
+/// The sending half. Its retransmit timer runs on the sending node's loop
+/// and holds only a [`Weak`] to it, so dropping the sender stops the timer
+/// at its next tick without waiting for it.
+struct Sender<T> {
+    state: Mutex<SenderState<T>>,
+    link: Link<Packet<T>>,
+    retx_every: Duration,
+    retransmits: Arc<Counter>,
 }
 
-/// The sending half: call [`ReliableSender::send`]; a retransmit timer
-/// thread re-sends unacked packets until acknowledged. Dropping the sender
-/// stops the timer thread promptly and joins it.
-pub struct ReliableSender<T: Clone + Send + 'static> {
-    state: Arc<Mutex<SenderState<T>>>,
-    link: Arc<Link<Packet<T>>>,
-    stop: Arc<StopFlag>,
-    retransmits: Arc<AtomicU64>,
-    retx: Option<std::thread::JoinHandle<()>>,
-}
-
-impl<T: Clone + Send + 'static> Drop for ReliableSender<T> {
-    fn drop(&mut self) {
-        *self.stop.stopped.lock() = true;
-        self.stop.cv.notify_all();
-        if let Some(h) = self.retx.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<T: Clone + Send + 'static> ReliableSender<T> {
-    /// Wraps a forward link. `retx_every` is the retransmission period.
-    pub fn new(link: Arc<Link<Packet<T>>>, retx_every: Duration) -> ReliableSender<T> {
-        let state: Arc<Mutex<SenderState<T>>> = Arc::new(Mutex::new(
-            LockClass::Reliable,
-            SenderState {
-                unacked: HashMap::new(),
-                next_seq: 0,
-            },
-        ));
-        let stop = Arc::new(StopFlag {
-            stopped: Mutex::new(LockClass::Reliable, false),
-            cv: Condvar::new(),
-        });
-        let retransmits = Arc::new(AtomicU64::new(0));
-        let s2 = state.clone();
-        let l2 = link.clone();
-        let stop2 = stop.clone();
-        let rtx2 = retransmits.clone();
-        let retx = std::thread::Builder::new()
-            .name("actorspace-retx".into())
-            .spawn(move || loop {
-                {
-                    let mut g = stop2.stopped.lock();
-                    if !*g {
-                        stop2.cv.wait_for(&mut g, retx_every);
-                    }
-                    if *g {
-                        return;
-                    }
-                }
-                let pending: Vec<(u64, T)> = s2
-                    .lock()
-                    .unacked
-                    .iter()
-                    .map(|(&s, p)| (s, p.clone()))
-                    .collect();
-                for (seq, payload) in pending {
-                    if !l2.send(Packet::Data { seq, payload }) {
-                        return; // link down
-                    }
-                    rtx2.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .expect("spawn retx thread");
-        ReliableSender {
-            state,
-            link,
-            stop,
-            retransmits,
-            retx: Some(retx),
-        }
-    }
-
-    /// Sends a payload; it will be retransmitted until acked.
-    pub fn send(&self, payload: T) {
+impl<T: Clone + Send + 'static> Sender<T> {
+    fn send(&self, payload: T) {
+        let sent = Instant::now();
         let seq = {
             let mut st = self.state.lock();
             let seq = st.next_seq;
             st.next_seq += 1;
-            st.unacked.insert(seq, payload.clone());
+            let payload = payload.clone();
+            st.unacked.insert(seq, Unacked { payload, sent });
             seq
         };
         self.link.send(Packet::Data { seq, payload });
     }
 
-    /// Processes an incoming ack (fed from the reverse link).
-    pub fn on_ack(&self, seq: u64) {
-        self.state.lock().unacked.remove(&seq);
-    }
-
-    /// Packets not yet acknowledged (for tests/metrics).
-    pub fn unacked(&self) -> usize {
-        self.state.lock().unacked.len()
-    }
-
-    /// Total packet retransmissions performed by the timer thread —
-    /// monotone, never reset. The cluster's observability layer polls this
-    /// and folds the delta into its `net.retransmits` counter.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
+    /// One timer tick: re-sends the packets that have gone unacknowledged
+    /// for a full period. Younger ones may still have their ack in flight.
+    fn retransmit(&self) {
+        let now = Instant::now();
+        let due: Vec<(u64, T)> = self
+            .state
+            .lock()
+            .unacked
+            .iter_mut()
+            .filter(|(_, u)| now.duration_since(u.sent) >= self.retx_every)
+            .map(|(&seq, u)| {
+                u.sent = now;
+                (seq, u.payload.clone())
+            })
+            .collect();
+        for (seq, payload) in due {
+            if !self.link.send(Packet::Data { seq, payload }) {
+                return; // loop stopped
+            }
+            self.retransmits.inc();
+        }
     }
 }
 
@@ -206,69 +150,80 @@ impl Default for ReliableReceiver {
     }
 }
 
-/// A bidirectional reliable pipe over two lossy links — convenience used
-/// by the cluster's data plane and by tests.
+/// A reliable pipe from node `a` to node `b` over two lossy links — the
+/// cluster's data plane, and what the tests drive.
 pub struct ReliablePipe<T: Clone + Send + 'static> {
-    sender: ReliableSender<T>,
+    sender: Arc<Sender<T>>,
     receiver: Arc<ReliableReceiver>,
 }
 
 impl<T: Clone + Send + 'static> ReliablePipe<T> {
-    /// Builds the forward path `a → b` over `cfg`-faulty links. `deliver`
-    /// receives each payload at most once on the `b` side; returning
-    /// `false` rejects the packet, leaving it unacknowledged in the
-    /// sender's journal for retransmission (or failover draining).
+    /// Builds the forward path `a → b` over `cfg`-faulty links: data rides
+    /// a link on `b`'s loop, acks a link back on `a`'s loop, and the
+    /// retransmit timer ticks every `retx_every` on `a`'s loop, counting
+    /// each re-sent packet into `retransmits`. `deliver` receives each
+    /// payload at most once on the `b` side; returning `false` rejects the
+    /// packet, leaving it unacknowledged in the sender's journal for
+    /// retransmission (or failover draining).
     pub fn new(
+        a: &LoopHandle,
+        b: &LoopHandle,
         cfg: LinkConfig,
         retx_every: Duration,
+        retransmits: Arc<Counter>,
         deliver: impl Fn(T) -> bool + Send + Sync + 'static,
     ) -> ReliablePipe<T> {
-        // The ack (reverse) link shares the fault model.
-        type AckLink<T> = Arc<Mutex<Option<Arc<Link<Packet<T>>>>>>;
-        let ack_holder: AckLink<T> = Arc::new(Mutex::new(LockClass::Reliable, None));
-
         let receiver = Arc::new(ReliableReceiver::new());
-        let rx = receiver.clone();
-        let ack_for_fwd = ack_holder.clone();
-        let fwd: Arc<Link<Packet<T>>> = Arc::new(Link::new_cloneable(
-            LinkConfig {
-                seed: cfg.seed,
-                ..cfg.clone()
-            },
-            move |pkt| {
+        let sender = Arc::new_cyclic(|weak: &Weak<Sender<T>>| {
+            // The ack (reverse) link shares the fault model. It holds the
+            // sender weakly: acks arriving after a drop are discarded.
+            let weak = weak.clone();
+            let ack = Link::new(
+                a,
+                LinkConfig {
+                    seed: cfg.seed.wrapping_add(1),
+                    ..cfg.clone()
+                },
+                move |pkt: Packet<T>| {
+                    if let (Packet::Ack { seq }, Some(sender)) = (pkt, weak.upgrade()) {
+                        sender.state.lock().unacked.remove(&seq);
+                    }
+                },
+            );
+            let rx = receiver.clone();
+            let data = Link::new(b, cfg, move |pkt| {
                 if let Packet::Data { seq, payload } = pkt {
-                    let ack = ack_for_fwd.lock().clone();
                     rx.on_data(
                         seq,
                         payload,
                         |s| {
-                            if let Some(ack) = &ack {
-                                ack.send(Packet::Ack { seq: s });
-                            }
+                            ack.send(Packet::Ack { seq: s });
                         },
                         &deliver,
                     );
                 }
-            },
-        ));
-
-        let sender = ReliableSender::new(fwd, retx_every);
-
-        // Reverse link: acks flow back into the sender.
-        let sender_state = sender.state.clone();
-        let rev: Arc<Link<Packet<T>>> = Arc::new(Link::new_cloneable(
-            LinkConfig {
-                seed: cfg.seed.wrapping_add(1),
-                ..cfg
-            },
-            move |pkt| {
-                if let Packet::Ack { seq } = pkt {
-                    sender_state.lock().unacked.remove(&seq);
-                }
-            },
-        ));
-        *ack_holder.lock() = Some(rev);
-
+            });
+            Sender {
+                state: Mutex::new(
+                    LockClass::Reliable,
+                    SenderState {
+                        unacked: HashMap::new(),
+                        next_seq: 0,
+                    },
+                ),
+                link: data,
+                retx_every,
+                retransmits,
+            }
+        });
+        let weak = Arc::downgrade(&sender);
+        a.every(retx_every, move || match weak.upgrade() {
+            Some(sender) => {
+                sender.retransmit();
+                true
+            }
+            None => false,
+        });
         ReliablePipe { sender, receiver }
     }
 
@@ -279,12 +234,7 @@ impl<T: Clone + Send + 'static> ReliablePipe<T> {
 
     /// Outstanding unacknowledged packets.
     pub fn unacked(&self) -> usize {
-        self.sender.unacked()
-    }
-
-    /// Total retransmissions on the forward path.
-    pub fn retransmits(&self) -> u64 {
-        self.sender.retransmits()
+        self.sender.state.lock().unacked.len()
     }
 
     /// Removes and returns every journalled packet the receiver has
@@ -294,14 +244,11 @@ impl<T: Clone + Send + 'static> ReliablePipe<T> {
     /// duplicate. Used on suspicion of the destination node to re-route
     /// in-flight messages.
     pub fn drain_undelivered(&self) -> Vec<T> {
-        let taken: Vec<(u64, T)> = {
-            let mut st = self.sender.state.lock();
-            st.unacked.drain().collect()
-        };
+        let taken: Vec<(u64, Unacked<T>)> = self.sender.state.lock().unacked.drain().collect();
         taken
             .into_iter()
             .filter(|(seq, _)| !self.receiver.contains(*seq))
-            .map(|(_, p)| p)
+            .map(|(_, u)| u.payload)
             .collect()
     }
 }
@@ -309,8 +256,8 @@ impl<T: Clone + Send + 'static> ReliablePipe<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_loop::{settle, EventLoop};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Instant;
 
     fn wait_for(pred: impl Fn() -> bool, secs: u64) {
         let deadline = Instant::now() + Duration::from_secs(secs);
@@ -320,11 +267,45 @@ mod tests {
         }
     }
 
+    /// The two ends' loops and the sender's retransmission counter.
+    struct Ends {
+        a: EventLoop,
+        b: EventLoop,
+        retx: Arc<Counter>,
+    }
+
+    fn ends() -> Ends {
+        Ends {
+            a: EventLoop::new("test-loop-a".into()),
+            b: EventLoop::new("test-loop-b".into()),
+            retx: Arc::new(Counter::new()),
+        }
+    }
+
+    impl Ends {
+        fn pipe<T: Clone + Send + 'static>(
+            &self,
+            cfg: LinkConfig,
+            retx_every: Duration,
+            deliver: impl Fn(T) -> bool + Send + Sync + 'static,
+        ) -> ReliablePipe<T> {
+            ReliablePipe::new(
+                self.a.handle(),
+                self.b.handle(),
+                cfg,
+                retx_every,
+                self.retx.clone(),
+                deliver,
+            )
+        }
+    }
+
     #[test]
     fn exactly_once_over_clean_link() {
+        let e = ends();
         let count = Arc::new(AtomicUsize::new(0));
         let c = count.clone();
-        let pipe = ReliablePipe::new(
+        let pipe = e.pipe(
             LinkConfig::ideal(),
             Duration::from_millis(20),
             move |_x: u32| {
@@ -337,20 +318,49 @@ mod tests {
         }
         wait_for(|| count.load(Ordering::Relaxed) >= 200, 10);
         // Let retransmits run a bit; duplicates must NOT appear.
-        std::thread::sleep(Duration::from_millis(200));
+        settle(e.a.handle(), Duration::from_millis(200));
         assert_eq!(count.load(Ordering::Relaxed), 200);
         wait_for(|| pipe.unacked() == 0, 10);
     }
 
     #[test]
+    fn no_retransmits_on_a_loss_free_link() {
+        // A packet is re-sent only once it has gone unacked for a whole
+        // period; on a loss-free link every ack beats that by far, however
+        // close to a timer tick the packet was sent.
+        let e = ends();
+        let count = Arc::new(AtomicUsize::new(0));
+        let c = count.clone();
+        let pipe = e.pipe(
+            LinkConfig::ideal(),
+            Duration::from_millis(200),
+            move |_x: u32| {
+                c.fetch_add(1, Ordering::Relaxed);
+                true
+            },
+        );
+        let until = Instant::now() + Duration::from_secs(1);
+        let mut sent = 0;
+        while Instant::now() < until {
+            pipe.send(sent);
+            sent += 1;
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        wait_for(|| pipe.unacked() == 0, 10);
+        assert_eq!(count.load(Ordering::Relaxed), sent as usize);
+        assert_eq!(e.retx.get(), 0, "nothing was lost, nothing may be re-sent");
+    }
+
+    #[test]
     fn exactly_once_under_heavy_loss_and_duplication() {
+        let e = ends();
         let got = Arc::new(Mutex::new(
             LockClass::Other("test.net.reliable_log"),
             Vec::new(),
         ));
         let g = got.clone();
         let cfg = LinkConfig::lossy(0.4, 0.3, 99);
-        let pipe = ReliablePipe::new(cfg, Duration::from_millis(10), move |x: u32| {
+        let pipe = e.pipe(cfg, Duration::from_millis(10), move |x: u32| {
             g.lock().push(x);
             true
         });
@@ -359,24 +369,27 @@ mod tests {
             pipe.send(i);
         }
         wait_for(|| got.lock().len() >= n as usize, 30);
-        std::thread::sleep(Duration::from_millis(300));
+        wait_for(|| pipe.unacked() == 0, 30);
+        settle(e.b.handle(), Duration::from_millis(50));
         let mut v = got.lock().clone();
         let len = v.len();
         v.sort_unstable();
         v.dedup();
         assert_eq!(len, v.len(), "duplicates leaked through");
         assert_eq!(v, (0..n).collect::<Vec<_>>(), "payloads missing");
+        assert!(e.retx.get() > 0, "a lossy link needs retransmission");
     }
 
     #[test]
     fn rejected_packets_stay_unacked_until_accepted() {
+        let e = ends();
         let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let got = Arc::new(Mutex::new(
             LockClass::Other("test.net.reliable_log"),
             Vec::new(),
         ));
         let (g2, gt2) = (gate.clone(), got.clone());
-        let pipe = ReliablePipe::new(
+        let pipe = e.pipe(
             LinkConfig::ideal(),
             Duration::from_millis(5),
             move |x: u32| {
@@ -390,7 +403,7 @@ mod tests {
         );
         pipe.send(1);
         pipe.send(2);
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for(|| e.retx.get() >= 4, 10);
         assert_eq!(pipe.unacked(), 2, "rejected packets must stay journalled");
         assert!(got.lock().is_empty());
         gate.store(true, Ordering::Release);
@@ -408,7 +421,8 @@ mod tests {
     fn drain_undelivered_returns_only_unaccepted_packets() {
         // Accept only even payloads; odd ones stay journalled and must be
         // the exact drain result.
-        let pipe = ReliablePipe::new(
+        let e = ends();
+        let pipe = e.pipe(
             LinkConfig::ideal(),
             Duration::from_secs(60),
             move |x: u32| x.is_multiple_of(2),
@@ -425,11 +439,10 @@ mod tests {
     }
 
     #[test]
-    fn dropping_sender_joins_retx_thread_promptly() {
-        // Regression: Drop used to only raise a flag the timer thread
-        // checked after sleeping a full period — with a long period the
-        // thread outlived the sender by up to `retx_every`.
-        let pipe = ReliablePipe::new(LinkConfig::ideal(), Duration::from_secs(60), |_: u32| true);
+    fn dropping_a_pipe_stops_its_retransmit_timer() {
+        // Dropping must not wait out a long period...
+        let e = ends();
+        let pipe = e.pipe(LinkConfig::ideal(), Duration::from_secs(60), |_: u32| true);
         pipe.send(7);
         let start = Instant::now();
         drop(pipe);
@@ -437,5 +450,18 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "drop must not wait out the retransmission period"
         );
+
+        // ...and no retransmit may fire after it. The receiver rejects
+        // everything, so a live timer would re-send on every tick.
+        let period = Duration::from_millis(5);
+        let pipe = e.pipe(LinkConfig::ideal(), period, |_: u32| false);
+        pipe.send(7);
+        wait_for(|| e.retx.get() >= 2, 10);
+        drop(pipe);
+        // A tick that began before the drop finishes before this returns.
+        settle(e.a.handle(), Duration::ZERO);
+        let after_drop = e.retx.get();
+        settle(e.a.handle(), period * 10);
+        assert_eq!(e.retx.get(), after_drop, "timer fired after the drop");
     }
 }

@@ -15,9 +15,10 @@
 //! (see DESIGN.md substitutions).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use crate::bus::{BusEvent, OrderedBroadcast, SeqEvent};
+use crate::event_loop::LoopHandle;
 use crate::link::{Link, LinkConfig};
 
 /// The centralized broadcaster/sequencer.
@@ -28,41 +29,31 @@ pub struct Sequencer {
 }
 
 impl Sequencer {
-    /// Builds the sequencer. `downlinks[n]` delivers sequenced events to
-    /// node `n`'s applier; `bus_cfg` models the uplink/downlink latency.
-    pub fn new(bus_cfg: LinkConfig, downlinks: Vec<Arc<Link<SeqEvent>>>) -> Sequencer {
+    /// Builds the sequencer on `lp`'s loop. `downlinks[n]` delivers
+    /// sequenced events to node `n`'s applier; `bus_cfg` models the
+    /// uplink/downlink latency.
+    pub fn new(lp: &LoopHandle, bus_cfg: LinkConfig, downlinks: Vec<Link<SeqEvent>>) -> Sequencer {
         let issued = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = mpsc::channel::<BusEvent>();
-
-        // The sequencer process: stamp and multicast.
-        let issued2 = issued.clone();
-        std::thread::Builder::new()
-            .name("actorspace-sequencer".into())
-            .spawn(move || {
-                let mut seq = 0u64;
-                while let Ok(event) = rx.recv() {
-                    for link in &downlinks {
-                        link.send(SeqEvent {
-                            seq,
-                            event: event.clone(),
-                        });
-                    }
-                    seq += 1;
-                    issued2.store(seq, Ordering::Release);
-                }
-            })
-            .expect("spawn sequencer");
-
-        // The shared uplink: submissions experience link latency before
-        // reaching the sequencer.
+        let stamped = issued.clone();
+        // The sequencer process is the receiving end of the shared uplink:
+        // submissions experience link latency, then are stamped and
+        // multicast on the one loop, so the counter needs no lock.
         let uplink = Link::new(
+            lp,
             LinkConfig {
                 drop_prob: 0.0,
                 dup_prob: 0.0,
                 ..bus_cfg
             },
-            move |e| {
-                let _ = tx.send(e);
+            move |event: BusEvent| {
+                let seq = stamped.load(Ordering::Relaxed);
+                for link in &downlinks {
+                    link.send(SeqEvent {
+                        seq,
+                        event: event.clone(),
+                    });
+                }
+                stamped.store(seq + 1, Ordering::Release);
             },
         );
 
@@ -94,6 +85,7 @@ mod tests {
     use super::*;
     use crate::bus::{Applier, BusOp};
     use crate::directory::NodeId;
+    use crate::event_loop::EventLoop;
     use actorspace_core::ActorId;
     use actorspace_lockcheck::{LockClass, Mutex};
     use std::time::{Duration, Instant};
@@ -120,12 +112,17 @@ mod tests {
                 }))
             })
             .collect();
-        let downlinks: Vec<Arc<Link<SeqEvent>>> = appliers
+        let loops: Vec<EventLoop> = (0..n_nodes)
+            .map(|i| EventLoop::new(format!("test-loop@{i}")))
+            .collect();
+        let downlinks: Vec<Link<SeqEvent>> = appliers
             .iter()
-            .map(|a| {
+            .zip(&loops)
+            .map(|(a, lp)| {
                 let a = a.clone();
                 // Jittered downlinks: arrival order differs per node.
-                Arc::new(Link::new(
+                Link::new(
+                    lp.handle(),
                     LinkConfig {
                         latency: Duration::from_micros(100),
                         jitter: Duration::from_millis(2),
@@ -133,10 +130,10 @@ mod tests {
                         ..LinkConfig::ideal()
                     },
                     move |e| a.on_event(e),
-                ))
+                )
             })
             .collect();
-        let seq = Sequencer::new(LinkConfig::ideal(), downlinks);
+        let seq = Sequencer::new(loops[0].handle(), LinkConfig::ideal(), downlinks);
 
         // Two "nodes" submit interleaved.
         for i in 0..50u64 {

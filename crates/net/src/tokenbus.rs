@@ -12,89 +12,80 @@
 //! — the trade-off benchmark E3 measures.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use actorspace_lockcheck::{LockClass, Mutex};
 
 use crate::bus::{BusEvent, OrderedBroadcast, SeqEvent};
+use crate::event_loop::LoopHandle;
 use crate::link::Link;
+
+/// Per-node submission buffers and the global sequence counter.
+struct Ring {
+    pending: Vec<Mutex<VecDeque<BusEvent>>>,
+    issued: AtomicU64,
+}
 
 /// The token-rotation ordered broadcast.
 pub struct TokenBus {
-    pending: Arc<Vec<Mutex<VecDeque<BusEvent>>>>,
+    ring: Arc<Ring>,
     submitted: AtomicU64,
-    issued: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
 }
 
 impl TokenBus {
-    /// Builds the bus. `hop` is the token's per-node hold/travel time.
-    pub fn new(n_nodes: usize, hop: Duration, downlinks: Vec<Arc<Link<SeqEvent>>>) -> TokenBus {
-        let pending: Arc<Vec<Mutex<VecDeque<BusEvent>>>> = Arc::new(
-            (0..n_nodes)
+    /// Builds the bus. `hop` is the token's per-node hold/travel time; the
+    /// rotation is a repeating timer on `lp`'s loop that stops once the
+    /// bus is dropped.
+    pub fn new(
+        lp: &LoopHandle,
+        n_nodes: usize,
+        hop: Duration,
+        downlinks: Vec<Link<SeqEvent>>,
+    ) -> TokenBus {
+        let ring = Arc::new(Ring {
+            pending: (0..n_nodes)
                 .map(|_| Mutex::new(LockClass::Bus, VecDeque::new()))
                 .collect(),
-        );
-        let issued = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let p2 = pending.clone();
-        let issued2 = issued.clone();
-        let stop2 = stop.clone();
-        std::thread::Builder::new()
-            .name("actorspace-token".into())
-            .spawn(move || {
-                let mut seq = 0u64;
-                let mut holder = 0usize;
-                loop {
-                    if stop2.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // Token travel/hold time. A short sleep keeps rotation
-                    // cheap when idle while still modelling the hop cost.
-                    std::thread::sleep(hop);
-                    // The holder drains its buffered submissions.
-                    let drained: Vec<BusEvent> = {
-                        let mut q = p2[holder].lock();
-                        q.drain(..).collect()
-                    };
-                    for event in drained {
-                        for link in &downlinks {
-                            link.send(SeqEvent {
-                                seq,
-                                event: event.clone(),
-                            });
-                        }
-                        seq += 1;
-                    }
-                    issued2.store(seq, Ordering::Release);
-                    holder = (holder + 1) % p2.len();
+            issued: AtomicU64::new(0),
+        });
+        let weak = Arc::downgrade(&ring);
+        let mut holder = 0usize;
+        lp.every(hop, move || {
+            let Some(ring) = weak.upgrade() else {
+                return false;
+            };
+            // The holder drains its buffered submissions, stamping them
+            // with consecutive sequence numbers; then the token moves on.
+            let drained: Vec<BusEvent> = ring.pending[holder].lock().drain(..).collect();
+            let mut seq = ring.issued.load(Ordering::Relaxed);
+            for event in drained {
+                for link in &downlinks {
+                    link.send(SeqEvent {
+                        seq,
+                        event: event.clone(),
+                    });
                 }
-            })
-            .expect("spawn token thread");
+                seq += 1;
+            }
+            ring.issued.store(seq, Ordering::Release);
+            holder = (holder + 1) % ring.pending.len();
+            true
+        });
 
         TokenBus {
-            pending,
+            ring,
             submitted: AtomicU64::new(0),
-            issued,
-            stop,
         }
-    }
-}
-
-impl Drop for TokenBus {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
     }
 }
 
 impl OrderedBroadcast for TokenBus {
     fn submit(&self, event: BusEvent) {
         self.submitted.fetch_add(1, Ordering::AcqRel);
-        let node = event.origin.0 as usize % self.pending.len();
-        self.pending[node].lock().push_back(event);
+        let node = event.origin.0 as usize % self.ring.pending.len();
+        self.ring.pending[node].lock().push_back(event);
     }
 
     fn submitted(&self) -> u64 {
@@ -102,7 +93,7 @@ impl OrderedBroadcast for TokenBus {
     }
 
     fn issued(&self) -> u64 {
-        self.issued.load(Ordering::Acquire)
+        self.ring.issued.load(Ordering::Acquire)
     }
 }
 
@@ -111,6 +102,7 @@ mod tests {
     use super::*;
     use crate::bus::{Applier, BusOp};
     use crate::directory::NodeId;
+    use crate::event_loop::EventLoop;
     use crate::link::LinkConfig;
     use actorspace_core::ActorId;
     use std::time::Instant;
@@ -137,21 +129,31 @@ mod tests {
                 }))
             })
             .collect();
-        let downlinks: Vec<Arc<Link<SeqEvent>>> = appliers
+        let loops: Vec<EventLoop> = (0..n_nodes)
+            .map(|i| EventLoop::new(format!("test-loop@{i}")))
+            .collect();
+        let downlinks: Vec<Link<SeqEvent>> = appliers
             .iter()
-            .map(|a| {
+            .zip(&loops)
+            .map(|(a, lp)| {
                 let a = a.clone();
-                Arc::new(Link::new(
+                Link::new(
+                    lp.handle(),
                     LinkConfig {
                         jitter: Duration::from_millis(1),
                         seed: 5,
                         ..LinkConfig::ideal()
                     },
                     move |e| a.on_event(e),
-                ))
+                )
             })
             .collect();
-        let bus = TokenBus::new(n_nodes, Duration::from_micros(200), downlinks);
+        let bus = TokenBus::new(
+            loops[0].handle(),
+            n_nodes,
+            Duration::from_micros(200),
+            downlinks,
+        );
 
         for i in 0..60u64 {
             bus.submit(BusEvent {

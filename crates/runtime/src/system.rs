@@ -767,33 +767,6 @@ impl ActorSystem {
             .spawn_cell(space, cap, Box::new(behavior), false)
     }
 
-    /// Spawns a background thread that runs `f` every `every` until the
-    /// system shuts down — the node-lifecycle hook used by periodic
-    /// services (e.g. the cluster's metrics-snapshot publisher). The
-    /// thread joins in [`ActorSystem::shutdown`] with the workers, so
-    /// `f` must not block on this system's own teardown; missed ticks
-    /// are skipped, not replayed.
-    pub fn spawn_periodic(&self, name: &str, every: Duration, f: impl Fn() + Send + 'static) {
-        let shared = self.shared.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("{name}@{}", self.shared.node))
-            .spawn(move || {
-                let mut next = Instant::now() + every;
-                while !shared.shutdown.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if now >= next {
-                        f();
-                        next = now + every;
-                        continue;
-                    }
-                    // Chunked sleep so shutdown never waits a full period.
-                    std::thread::sleep((next - now).min(Duration::from_millis(5)));
-                }
-            })
-            .expect("spawn periodic thread");
-        self.workers.lock().push(handle);
-    }
-
     /// Stops all workers. Queued messages may be dropped. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);

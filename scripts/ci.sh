@@ -37,6 +37,12 @@ echo "==> cargo test (workspace, lockcheck instrumentation on)"
 # DAG re-validated after every topology mutation. Any violation panics.
 cargo test --workspace -q --features lockcheck
 
+echo "==> perfbench (the repository benchmark must build and pass its self-tests)"
+# perfbench/ is its own Cargo workspace with path deps on the crates, so
+# the workspace steps above never build it.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> shard stress (multi-threaded coordinator tests under parallel harness)"
 # The sharded-coordinator stress and oracle tests spawn their own threads;
 # running the harness itself multi-threaded adds cross-test interleaving
