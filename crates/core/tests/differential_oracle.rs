@@ -76,6 +76,22 @@ fn pat(i: usize) -> Pattern {
 /// also exercises the literal index's prefix-stripping descent.
 const NESTED_LITERALS: [&str; 4] = ["w/w", "w/srv/fib", "srv/fact/w", "srv/fib/srv/fact"];
 
+/// Wildcard patterns that can match through nested spaces, so the final
+/// resolve panel also checks the NFA walk carrying a live state set across
+/// a space boundary against the spec's whole-path match on joined paths.
+/// The alternation's arms enter a space made visible as both `srv/fact`
+/// and `w` with different live state sets, which the walk's visited-set
+/// dedup must keep apart.
+const NESTED_WILDCARDS: [&str; 7] = [
+    "*/fib",
+    "*/w",
+    "srv/*/w",
+    "w/**",
+    "{w, srv}/fact",
+    "**/fact",
+    "{w/w, srv/fact/srv/fib}",
+];
+
 #[derive(Debug, Clone)]
 enum Op {
     CreateSpace,
@@ -585,7 +601,8 @@ fn run_differential(ops: &[Op], unmatched: UnmatchedPolicy) {
         );
         let panel = (0..6)
             .map(pat)
-            .chain(NESTED_LITERALS.iter().map(|p| pattern(p)));
+            .chain(NESTED_LITERALS.iter().map(|p| pattern(p)))
+            .chain(NESTED_WILDCARDS.iter().map(|p| pattern(p)));
         for p in panel {
             assert_eq!(
                 Coordinator::resolve(&reference, &p, s),

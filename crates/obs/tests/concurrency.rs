@@ -4,7 +4,7 @@
 //! atomic load) and totals must be monotone from one snapshot to the next.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use actorspace_obs::{MetricsRegistry, Snapshot};
 
@@ -15,11 +15,15 @@ const PER_THREAD: u64 = 20_000;
 fn parallel_increments_yield_monotone_untorn_snapshots() {
     let reg = Arc::new(MetricsRegistry::new());
     let done = Arc::new(AtomicBool::new(false));
+    // The writers start only after the reader's first snapshot.
+    let start = Arc::new(Barrier::new(THREADS + 1));
 
     let writers: Vec<_> = (0..THREADS)
         .map(|t| {
             let reg = reg.clone();
+            let start = start.clone();
             std::thread::spawn(move || {
+                start.wait();
                 let c = reg.counter("test.ops", t as u16 % 4);
                 let h = reg.histogram("test.latency_ns", t as u16 % 4);
                 for i in 0..PER_THREAD {
@@ -37,7 +41,7 @@ fn parallel_increments_yield_monotone_untorn_snapshots() {
             let mut last_ops = 0u64;
             let mut last_hist = 0u64;
             let mut snaps = 0u64;
-            while !done.load(Ordering::Acquire) {
+            loop {
                 let s: Snapshot = reg.snapshot(0);
                 let ops = s.counter_total("test.ops");
                 let hist = s.histogram_total("test.latency_ns").count;
@@ -47,6 +51,12 @@ fn parallel_increments_yield_monotone_untorn_snapshots() {
                 last_ops = ops;
                 last_hist = hist;
                 snaps += 1;
+                if snaps == 1 {
+                    start.wait();
+                }
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
             }
             snaps
         })

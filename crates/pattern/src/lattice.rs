@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use actorspace_atoms::Atom;
 
 use crate::ast::Ast;
-use crate::matcher;
+use crate::matcher::{self, StateSet};
 use crate::nfa::{Nfa, State, StateId, Trans};
 use crate::Pattern;
 
@@ -154,24 +154,23 @@ pub fn complement(nfa: &Nfa) -> Nfa {
 }
 
 fn build_dfa(nfa: &Nfa, complemented: bool) -> Nfa {
-    // Subset construction over symbolic minterms. A subset is represented as
-    // a sorted Vec<StateId> key.
-    struct Build {
+    // Subset construction over symbolic minterms. A subset is the
+    // epsilon-closed `StateSet` a match would hold, stepped the same way.
+    struct Build<'a> {
+        nfa: &'a Nfa,
         states: Vec<State>,
         accepting: Vec<bool>,
-        index: HashMap<Vec<StateId>, StateId>,
-        work: Vec<Vec<StateId>>,
-        nfa_accept: StateId,
+        index: HashMap<StateSet, StateId>,
+        work: Vec<StateSet>,
     }
-    impl Build {
-        fn intern(&mut self, subset: Vec<StateId>) -> StateId {
+    impl Build<'_> {
+        fn intern(&mut self, subset: StateSet) -> StateId {
             if let Some(&id) = self.index.get(&subset) {
                 return id;
             }
             let id = self.states.len() as StateId;
             self.states.push(State::default());
-            self.accepting
-                .push(subset.binary_search(&self.nfa_accept).is_ok());
+            self.accepting.push(subset.is_accepting(self.nfa));
             self.index.insert(subset.clone(), id);
             self.work.push(subset);
             id
@@ -179,21 +178,20 @@ fn build_dfa(nfa: &Nfa, complemented: bool) -> Nfa {
     }
 
     let mut b = Build {
+        nfa,
         states: Vec::new(),
         accepting: Vec::new(),
         index: HashMap::new(),
         work: Vec::new(),
-        nfa_accept: nfa.accept(),
     };
 
-    let start_subset = close(nfa, vec![nfa.start()]);
-    let start = b.intern(start_subset);
+    let start = b.intern(matcher::start(nfa));
     while let Some(subset) = b.work.pop() {
         let from = b.index[&subset];
         // Atoms mentioned on any outgoing transition of the subset — these,
         // plus the co-finite "rest" class, partition the alphabet.
         let mut mentioned: Vec<Atom> = Vec::new();
-        for &s in &subset {
+        for s in subset.iter() {
             for (label, _) in &nfa.states()[s as usize].trans {
                 match label {
                     Trans::Atom(a) => mentioned.push(*a),
@@ -207,16 +205,8 @@ fn build_dfa(nfa: &Nfa, complemented: bool) -> Nfa {
 
         // One successor per mentioned atom.
         for &a in &mentioned {
-            let mut next: Vec<StateId> = Vec::new();
-            for &s in &subset {
-                for (label, to) in &nfa.states()[s as usize].trans {
-                    if label.accepts(a) {
-                        next.push(*to);
-                    }
-                }
-            }
-            let next = close(nfa, next);
-            if next.is_empty() && !complemented {
+            let next = subset.advance(nfa, a);
+            if next.is_dead() && !complemented {
                 continue; // dead transitions only matter for the complement
             }
             let t = b.intern(next);
@@ -225,16 +215,8 @@ fn build_dfa(nfa: &Nfa, complemented: bool) -> Nfa {
 
         // The rest class: any atom not mentioned. Only `Any` and `NotIn`
         // labels (whose sets are all mentioned) can accept it.
-        let mut next: Vec<StateId> = Vec::new();
-        for &s in &subset {
-            for (label, to) in &nfa.states()[s as usize].trans {
-                if matches!(label, Trans::Any | Trans::NotIn(_)) {
-                    next.push(*to);
-                }
-            }
-        }
-        let next = close(nfa, next);
-        if !next.is_empty() || complemented {
+        let next = subset.step(nfa, |label| matches!(label, Trans::Any | Trans::NotIn(_)));
+        if !next.is_dead() || complemented {
             let t = b.intern(next);
             let label = if mentioned.is_empty() {
                 Trans::Any
@@ -254,22 +236,6 @@ fn build_dfa(nfa: &Nfa, complemented: bool) -> Nfa {
         }
     }
     Nfa::from_parts(b.states, start, accept)
-}
-
-/// Sorted, deduplicated epsilon closure of a set of states.
-fn close(nfa: &Nfa, seed: Vec<StateId>) -> Vec<StateId> {
-    let mut seen = vec![false; nfa.len()];
-    let mut stack = seed;
-    let mut out = Vec::new();
-    while let Some(s) = stack.pop() {
-        if std::mem::replace(&mut seen[s as usize], true) {
-            continue;
-        }
-        out.push(s);
-        stack.extend_from_slice(&nfa.states()[s as usize].eps);
-    }
-    out.sort_unstable();
-    out
 }
 
 #[cfg(test)]

@@ -9,38 +9,68 @@ use actorspace_atoms::Atom;
 
 use crate::nfa::{Nfa, StateId, Trans};
 
-/// A set of NFA states, as a bitset. The working representation of an
-/// in-progress match; cheap to clone so the matching engine can fork it when
+/// A set of NFA states, as a bitset: the working representation of an
+/// in-progress match. It holds the live states that can still consume an
+/// atom or accept. Cheap to clone so the matching engine can fork it when
 /// descending into nested actorSpaces. `Hash` supports visited-state
 /// deduplication when walking (possibly cyclic) space graphs.
+///
+/// For NFAs of at most 64 states the bits live inline, so starting,
+/// advancing and cloning allocate nothing; larger NFAs use a boxed bitset.
+/// Both run the same stepping routine over the NFA's precomputed epsilon
+/// closures.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct StateSet {
-    bits: Box<[u64]>,
+    bits: Bits,
+}
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Bits {
+    Inline(u64),
+    Boxed(Box<[u64]>),
 }
 
 impl StateSet {
     fn empty(n_states: usize) -> StateSet {
-        StateSet {
-            bits: vec![0u64; n_states.div_ceil(64)].into_boxed_slice(),
+        let bits = if n_states <= 64 {
+            Bits::Inline(0)
+        } else {
+            Bits::Boxed(vec![0u64; n_states.div_ceil(64)].into_boxed_slice())
+        };
+        StateSet { bits }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.bits {
+            Bits::Inline(w) => std::slice::from_ref(w),
+            Bits::Boxed(ws) => ws,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.bits {
+            Bits::Inline(w) => std::slice::from_mut(w),
+            Bits::Boxed(ws) => ws,
         }
     }
 
     fn insert(&mut self, s: StateId) -> bool {
         let (w, b) = (s as usize / 64, s as usize % 64);
-        let had = self.bits[w] & (1 << b) != 0;
-        self.bits[w] |= 1 << b;
+        let word = &mut self.words_mut()[w];
+        let had = *word & (1 << b) != 0;
+        *word |= 1 << b;
         !had
     }
 
     fn contains(&self, s: StateId) -> bool {
         let (w, b) = (s as usize / 64, s as usize % 64);
-        self.bits[w] & (1 << b) != 0
+        self.words()[w] & (1 << b) != 0
     }
 
     /// True if no states are live — the match can never succeed, so tree
     /// walks prune here.
     pub fn is_dead(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// True if the accept state is live: the atoms consumed so far form a
@@ -49,51 +79,53 @@ impl StateSet {
         self.contains(nfa.accept())
     }
 
-    /// Iterates over live state ids.
-    fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter_map(move |b| {
-                if word & (1u64 << b) != 0 {
-                    Some((w * 64 + b) as StateId)
-                } else {
-                    None
-                }
+    /// Iterates over live state ids in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.words().iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (w * 64) as StateId + b
+                })
             })
         })
+    }
+
+    /// The epsilon-closed set reached by taking every transition from a
+    /// live state whose label satisfies `take`.
+    pub(crate) fn step(&self, nfa: &Nfa, take: impl Fn(&Trans) -> bool) -> StateSet {
+        let mut next = StateSet::empty(nfa.len());
+        let out = next.words_mut();
+        for s in self.iter() {
+            for (label, to) in &nfa.states()[s as usize].trans {
+                if take(label) {
+                    or_closure(out, nfa, *to);
+                }
+            }
+        }
+        next
     }
 
     /// Consumes one atom, returning the successor state set
     /// (epsilon-closed).
     pub fn advance(&self, nfa: &Nfa, atom: Atom) -> StateSet {
-        let mut next = StateSet::empty(nfa.len());
-        for s in self.iter() {
-            for (label, to) in &nfa.states()[s as usize].trans {
-                if label.accepts(atom) {
-                    next.insert(*to);
-                }
-            }
-        }
-        eps_close(nfa, &mut next);
-        next
+        self.step(nfa, |label| label.accepts(atom))
     }
 }
 
-fn eps_close(nfa: &Nfa, set: &mut StateSet) {
-    let mut stack: Vec<StateId> = set.iter().collect();
-    while let Some(s) = stack.pop() {
-        for &to in &nfa.states()[s as usize].eps {
-            if set.insert(to) {
-                stack.push(to);
-            }
-        }
+/// ORs `nfa.step_closure(s)` into the bitset `words`.
+fn or_closure(words: &mut [u64], nfa: &Nfa, s: StateId) {
+    for &t in nfa.step_closure(s) {
+        words[t as usize / 64] |= 1 << (t % 64);
     }
 }
 
 /// The epsilon-closed start set of `nfa`.
 pub fn start(nfa: &Nfa) -> StateSet {
     let mut set = StateSet::empty(nfa.len());
-    set.insert(nfa.start());
-    eps_close(nfa, &mut set);
+    or_closure(set.words_mut(), nfa, nfa.start());
     set
 }
 

@@ -59,11 +59,19 @@ pub struct State {
 
 /// A compiled pattern automaton with a single start and a single accept
 /// state (the classic Thompson shape).
+///
+/// Epsilon closures are computed once, on construction, so a match step is
+/// a union of precomputed closures (see `Nfa::step_closure`). They are
+/// stored as one flat list, which grows with the total closure size rather
+/// than with the square of the state count.
 #[derive(Debug, Clone)]
 pub struct Nfa {
     states: Vec<State>,
     start: StateId,
     accept: StateId,
+    /// `step_closure(s)` is `closures[closure_at[s]..closure_at[s + 1]]`.
+    closures: Vec<StateId>,
+    closure_at: Vec<u32>,
 }
 
 impl Nfa {
@@ -73,10 +81,38 @@ impl Nfa {
     pub fn from_parts(states: Vec<State>, start: StateId, accept: StateId) -> Nfa {
         debug_assert!((start as usize) < states.len());
         debug_assert!((accept as usize) < states.len());
+        let mut entered = vec![false; states.len()];
+        entered[start as usize] = true;
+        for (_, to) in states.iter().flat_map(|st| &st.trans) {
+            entered[*to as usize] = true;
+        }
+        let mut closures = Vec::new();
+        let mut closure_at = Vec::with_capacity(states.len() + 1);
+        closure_at.push(0);
+        // `seen[t] == s + 1` marks `t` as already visited from `s`.
+        let mut seen = vec![0u32; states.len()];
+        let mut stack = Vec::new();
+        for s in 0..states.len() as StateId {
+            if entered[s as usize] {
+                stack.push(s);
+                while let Some(t) = stack.pop() {
+                    if std::mem::replace(&mut seen[t as usize], s + 1) == s + 1 {
+                        continue;
+                    }
+                    if t == accept || !states[t as usize].trans.is_empty() {
+                        closures.push(t);
+                    }
+                    stack.extend_from_slice(&states[t as usize].eps);
+                }
+            }
+            closure_at.push(u32::try_from(closures.len()).expect("NFA closures too large"));
+        }
         Nfa {
             states,
             start,
             accept,
+            closures,
+            closure_at,
         }
     }
 
@@ -93,6 +129,16 @@ impl Nfa {
     /// All states, indexed by [`StateId`].
     pub fn states(&self) -> &[State] {
         &self.states
+    }
+
+    /// The states a match holds after entering `s`: those reachable from
+    /// `s` by epsilon moves alone (`s` included) that have a transition or
+    /// are the accept state. The others can neither consume an atom nor
+    /// accept, so a match never needs them. Empty unless `s` is the start
+    /// state or a transition target, the only states a match enters.
+    pub(crate) fn step_closure(&self, s: StateId) -> &[StateId] {
+        let s = s as usize;
+        &self.closures[self.closure_at[s] as usize..self.closure_at[s + 1] as usize]
     }
 
     /// Number of states.
@@ -222,11 +268,7 @@ impl Builder {
 pub fn compile(ast: &Ast) -> Nfa {
     let mut b = Builder { states: Vec::new() };
     let (start, accept) = b.fragment(ast);
-    Nfa {
-        states: b.states,
-        start,
-        accept,
-    }
+    Nfa::from_parts(b.states, start, accept)
 }
 
 #[cfg(test)]

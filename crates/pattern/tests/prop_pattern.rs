@@ -4,10 +4,17 @@
 //! independently of the NFA pipeline. Random ASTs and random paths over a
 //! small alphabet are checked for agreement, and the lattice constructions
 //! (determinize / complement / meet / join / subsumes) are validated
-//! against their logical definitions on sampled paths.
+//! against their logical definitions on sampled paths. Incremental state
+//! sets are checked against a naive state-set simulation, on NFAs small
+//! enough to keep their sets inline and on NFAs of more than 64 states.
+
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 use actorspace_atoms::{atom, Atom, Path};
-use actorspace_pattern::{ast::Ast, lattice, matcher, Pattern};
+use actorspace_pattern::nfa::{Nfa, StateId};
+use actorspace_pattern::{ast::Ast, lattice, matcher, Pattern, StateSet};
 use proptest::prelude::*;
 
 /// Naive backtracking match: does `ast` accept `path[i..]` exactly?
@@ -121,8 +128,72 @@ fn arb_ast() -> impl Strategy<Value = Ast> {
     })
 }
 
+/// An alternation of 50 or more generated parts: at least 102 NFA states.
+fn arb_large_alt() -> impl Strategy<Value = Ast> {
+    proptest::collection::vec(arb_ast(), 50..56).prop_map(Ast::alt)
+}
+
+/// Patterns of 40 or more generated parts: an alternation, or a sequence
+/// of optional parts (so that short paths still match). Their NFAs have
+/// well over 64 states, so their state sets take the boxed representation.
+fn arb_large_ast() -> impl Strategy<Value = Ast> {
+    prop_oneof![
+        arb_large_alt(),
+        proptest::collection::vec(arb_ast(), 40..56).prop_map(|parts| {
+            Ast::seq(parts.into_iter().map(|p| Ast::Opt(Box::new(p))).collect())
+        }),
+    ]
+}
+
+/// Small and large patterns alike.
+fn arb_any_ast() -> impl Strategy<Value = Ast> {
+    prop_oneof![arb_ast(), arb_large_ast()]
+}
+
 fn arb_path() -> impl Strategy<Value = Vec<Atom>> {
     proptest::collection::vec(arb_atom(), 0..6)
+}
+
+/// Live states after consuming `path` that can still consume an atom or
+/// accept (the ones a [`StateSet`] holds), by a naive simulation over the
+/// NFA's raw transitions and epsilon moves.
+fn naive_states(nfa: &Nfa, path: &[Atom]) -> BTreeSet<StateId> {
+    fn close(nfa: &Nfa, mut set: BTreeSet<StateId>) -> BTreeSet<StateId> {
+        let mut stack: Vec<StateId> = set.iter().copied().collect();
+        while let Some(s) = stack.pop() {
+            for &to in &nfa.states()[s as usize].eps {
+                if set.insert(to) {
+                    stack.push(to);
+                }
+            }
+        }
+        set
+    }
+    let mut set = close(nfa, BTreeSet::from([nfa.start()]));
+    for &a in path {
+        let mut next = BTreeSet::new();
+        for &s in &set {
+            for (label, to) in &nfa.states()[s as usize].trans {
+                if label.accepts(a) {
+                    next.insert(*to);
+                }
+            }
+        }
+        set = close(nfa, next);
+    }
+    set.retain(|&s| s == nfa.accept() || !nfa.states()[s as usize].trans.is_empty());
+    set
+}
+
+fn advance_all(pat: &Pattern, path: &[Atom]) -> StateSet {
+    path.iter()
+        .fold(pat.start(), |set, &a| set.advance(pat.nfa(), a))
+}
+
+fn hash_of(set: &StateSet) -> u64 {
+    let mut h = DefaultHasher::new();
+    set.hash(&mut h);
+    h.finish()
 }
 
 proptest! {
@@ -218,6 +289,67 @@ proptest! {
         }
     }
 
+    /// Patterns whose NFAs exceed 64 states agree with the oracle too.
+    #[test]
+    fn large_nfa_matches_oracle(ast in arb_large_ast(), p in arb_path()) {
+        let pat = Pattern::from_ast(ast.clone());
+        prop_assert!(pat.nfa().len() > 64, "only {} states", pat.nfa().len());
+        prop_assert_eq!(pat.matches(&Path::from_atoms(p.clone())), oracle(&ast, &p));
+    }
+
+    /// Cutting a path into segments and stepping a forked state set across
+    /// the cuts, pruning on a dead set, decides the same as a whole-path
+    /// match. This is how resolution carries a match into nested spaces.
+    #[test]
+    fn stepping_across_cuts_equals_whole_path_match(
+        ast in arb_any_ast(),
+        p in proptest::collection::vec(arb_atom(), 0..8),
+        cuts in proptest::collection::vec(0usize..8, 0..4),
+    ) {
+        let pat = Pattern::from_ast(ast.clone());
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(p.len())).collect();
+        cuts.push(p.len());
+        cuts.sort_unstable();
+        let mut set = pat.start();
+        let mut from = 0;
+        for &to in &cuts {
+            let mut fork = set.clone();
+            for &a in &p[from..to] {
+                fork = fork.advance(pat.nfa(), a);
+                if fork.is_dead() {
+                    break;
+                }
+            }
+            set = fork;
+            from = to;
+            if set.is_dead() {
+                break;
+            }
+        }
+        let expected = oracle(&ast, &p);
+        prop_assert_eq!(set.is_accepting(pat.nfa()), expected);
+        prop_assert_eq!(pat.matches(&Path::from_atoms(p)), expected);
+    }
+
+    /// State sets are equal, and hash equal, exactly when two paths reach
+    /// the same live states — what the resolution walk's visited-set
+    /// dedup relies on.
+    #[test]
+    fn state_sets_are_equal_iff_live_states_are(
+        ast in arb_any_ast(),
+        p in proptest::collection::vec(arb_atom(), 0..4),
+        q in proptest::collection::vec(arb_atom(), 0..4),
+    ) {
+        let pat = Pattern::from_ast(ast);
+        let (sp, sq) = (advance_all(&pat, &p), advance_all(&pat, &q));
+        let same = naive_states(pat.nfa(), &p) == naive_states(pat.nfa(), &q);
+        prop_assert_eq!(sp == sq, same);
+        if same {
+            prop_assert_eq!(hash_of(&sp), hash_of(&sq));
+        }
+        prop_assert_eq!(sp.is_accepting(pat.nfa()), pat.matches(&Path::from_atoms(p)));
+    }
+
     /// Emptiness: a pattern that matched some sampled path is satisfiable.
     #[test]
     fn satisfiability_soundness(ast in arb_ast(), p in arb_path()) {
@@ -225,6 +357,26 @@ proptest! {
         let path = Path::from_atoms(p);
         if pat.matches(&path) {
             prop_assert!(!pat.is_empty_language());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The meet of two patterns of at least 100 states each builds and
+    /// accepts exactly the paths both patterns match.
+    #[test]
+    fn meet_of_large_patterns_agrees_with_oracle(
+        a in arb_large_alt(),
+        b in arb_large_alt(),
+        paths in proptest::collection::vec(arb_path(), 16..17),
+    ) {
+        let (pa, pb) = (Pattern::from_ast(a.clone()), Pattern::from_ast(b.clone()));
+        prop_assert!(pa.nfa().len() >= 100 && pb.nfa().len() >= 100);
+        let m = lattice::meet(pa.nfa(), pb.nfa());
+        for p in paths {
+            prop_assert_eq!(matcher::matches(&m, &p), oracle(&a, &p) && oracle(&b, &p));
         }
     }
 }
