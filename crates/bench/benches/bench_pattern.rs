@@ -1,13 +1,13 @@
 //! Pattern matching cost per call: `Pattern::matches` and one
 //! `StateSet::advance` step, for an NFA small enough to keep its state set
-//! inline (at most 64 states) and for one that needs the boxed bitset, plus
-//! a wildcard resolve over 1,000 visible members, which runs the NFA walk
-//! once per member attribute.
+//! inline (at most 64 states) and for one that needs the boxed bitset. A
+//! wildcard resolve over 1,000 visible members, which runs the NFA walk
+//! once per member attribute, is `E12_literal_index/wildcard_either/1000`
+//! in `bench_attr_index`.
 
 use std::hint::black_box;
 
 use actorspace_atoms::{atom, path};
-use actorspace_core::{policy::ManagerPolicy, ActorId, Route, ShardedRegistry, SpaceId};
 use actorspace_pattern::{pattern, Pattern};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -43,35 +43,5 @@ fn bench_match(c: &mut Criterion) {
     g.finish();
 }
 
-fn build(n: usize) -> (ShardedRegistry<u64>, SpaceId) {
-    let reg: ShardedRegistry<u64> = ShardedRegistry::new(ManagerPolicy::default());
-    let space = reg.create_space(None);
-    let mut sink = |_: ActorId, _: u64, _: Option<&Route>| {};
-    for i in 0..n {
-        let a = reg.create_actor(space, None).unwrap();
-        reg.make_visible(
-            a.into(),
-            vec![path(&format!("svc/class-{}/i{}", i % 25, i))],
-            space,
-            None,
-            &mut sink,
-        )
-        .unwrap();
-    }
-    (reg, space)
-}
-
-fn bench_wildcard_resolve(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pattern_resolve");
-    g.sample_size(30);
-    let (reg, space) = build(1_000);
-    let wildcard = pattern("svc/class-7/*");
-    assert_eq!(reg.resolve(&wildcard, space).unwrap().len(), 40);
-    g.bench_function("wildcard_1000_members", |b| {
-        b.iter(|| reg.resolve(black_box(&wildcard), space).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_match, bench_wildcard_resolve);
+criterion_group!(benches, bench_match);
 criterion_main!(benches);

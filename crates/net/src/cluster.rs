@@ -30,7 +30,7 @@
 //! directory (`NodeUp`), replays the retained bus history to reconverge
 //! its replica, and serves traffic again.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -808,9 +808,81 @@ impl Drop for Cluster {
 
 /// Builds the per-incarnation applier for one node.
 fn make_applier(system: Arc<ActorSystem>, me: NodeId, errors: Arc<AtomicU64>) -> Arc<Applier> {
+    let held = Mutex::new(LockClass::Bus, Held::default());
     Arc::new(Applier::new(move |e: BusEvent| {
-        apply_op(&system, me, e.op, &errors);
+        let mut ready = VecDeque::from([e.op]);
+        while let Some(op) = ready.pop_front() {
+            if let Some(id) = op_refs(&op)
+                .into_iter()
+                .find(|&m| !known(&held, &system, m))
+            {
+                held.lock().waiting.entry(id).or_default().push(op);
+                continue;
+            }
+            let created = op_creates(&op);
+            apply_op(&system, me, op, &errors);
+            if let Some(id) = created {
+                let mut held = held.lock();
+                held.created.insert(id);
+                ready.extend(held.waiting.remove(&id).into_iter().flatten());
+            }
+        }
     }))
+}
+
+/// Operations held until the actor or space they name is created on this
+/// replica. The bus orders events totally but not causally across nodes:
+/// node 1 can learn a space's id from node 0 and submit `make_visible` on
+/// it before node 0's `CreateSpace` is stamped. Such an operation waits
+/// and applies right after the creation. Every replica sees the same
+/// order, so every replica holds and releases the same operations.
+#[derive(Default)]
+struct Held {
+    /// Every actor and space whose creation has applied here, so that an
+    /// operation on one removed since fails at once instead of waiting.
+    /// Like the bus log, it grows with the cluster's history.
+    created: HashSet<MemberId>,
+    /// Held operations, by the creation they wait for, in bus order.
+    waiting: HashMap<MemberId, Vec<BusOp>>,
+}
+
+/// Whether `id` exists on this replica or existed once. Ids outside every
+/// node's range (the root space, forged ids) count as known: no bus event
+/// creates them, so an operation held on one would wait forever.
+fn known(held: &Mutex<Held>, system: &ActorSystem, id: MemberId) -> bool {
+    let raw = match id {
+        MemberId::Actor(a) => a.0,
+        MemberId::Space(s) => s.0,
+    };
+    // Not held across the registry call: that takes the registry's locks.
+    let seen = held.lock().created.contains(&id);
+    seen || node_of_raw(raw).is_none()
+        || system.with_registry(|reg, _| match id {
+            MemberId::Actor(a) => reg.actor_exists(a),
+            MemberId::Space(s) => reg.space_exists(s),
+        })
+}
+
+/// The actors and spaces an operation acts on or in.
+fn op_refs(op: &BusOp) -> Vec<MemberId> {
+    match op {
+        BusOp::CreateActor { host, .. } => vec![MemberId::Space(*host)],
+        BusOp::MakeVisible { member, space, .. }
+        | BusOp::MakeInvisible { member, space, .. }
+        | BusOp::ChangeAttributes { member, space, .. } => vec![*member, MemberId::Space(*space)],
+        BusOp::DestroySpace { space, .. } => vec![MemberId::Space(*space)],
+        BusOp::RemoveActor { id } => vec![MemberId::Actor(*id)],
+        BusOp::CreateSpace { .. } | BusOp::NodeDown { .. } | BusOp::NodeUp { .. } => Vec::new(),
+    }
+}
+
+/// The actor or space an operation creates.
+fn op_creates(op: &BusOp) -> Option<MemberId> {
+    match op {
+        BusOp::CreateActor { id, .. } => Some(MemberId::Actor(*id)),
+        BusOp::CreateSpace { id, .. } => Some(MemberId::Space(*id)),
+        _ => None,
+    }
 }
 
 /// Wires one system (initial boot or restart) into the cluster: the
@@ -1221,5 +1293,84 @@ impl Transport for NodeUplink {
         });
         self.forwarded.inc();
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use actorspace_atoms::path;
+    use actorspace_pattern::pattern;
+
+    /// Feeds `ops` to a fresh node-1 replica's applier in bus order.
+    fn replay(ops: Vec<BusOp>) -> (Arc<ActorSystem>, Arc<AtomicU64>) {
+        let system = Arc::new(ActorSystem::new(Config {
+            workers: 1,
+            id_base: id_base(NodeId(1)),
+            ..Config::default()
+        }));
+        let errors = Arc::new(AtomicU64::new(0));
+        let applier = make_applier(system.clone(), NodeId(1), errors.clone());
+        for (seq, op) in ops.into_iter().enumerate() {
+            applier.on_event(SeqEvent {
+                seq: seq as u64,
+                event: BusEvent {
+                    origin: NodeId(0),
+                    op,
+                },
+            });
+        }
+        (system, errors)
+    }
+
+    fn visible(member: ActorId, space: SpaceId) -> BusOp {
+        BusOp::MakeVisible {
+            member: MemberId::Actor(member),
+            attrs: vec![path("svc")],
+            space,
+            cap: None,
+        }
+    }
+
+    #[test]
+    fn operation_stamped_before_its_space_applies_after_the_creation() {
+        let space = SpaceId(id_base(NodeId(0)) + 1);
+        let worker = ActorId(id_base(NodeId(1)) + 1);
+        let (system, errors) = replay(vec![
+            BusOp::CreateActor {
+                id: worker,
+                host: SpaceId(0),
+                guard: Guard::from_creation(None),
+            },
+            visible(worker, space),
+            BusOp::CreateSpace {
+                id: space,
+                guard: Guard::from_creation(None),
+            },
+        ]);
+        assert_eq!(system.resolve(&pattern("svc"), space).unwrap(), [worker]);
+        assert_eq!(errors.load(Ordering::Relaxed), 0);
+        system.shutdown();
+    }
+
+    #[test]
+    fn operation_on_a_destroyed_space_fails_at_once() {
+        let space = SpaceId(id_base(NodeId(0)) + 1);
+        let worker = ActorId(id_base(NodeId(1)) + 1);
+        let (system, errors) = replay(vec![
+            BusOp::CreateSpace {
+                id: space,
+                guard: Guard::from_creation(None),
+            },
+            BusOp::DestroySpace { space, cap: None },
+            BusOp::CreateActor {
+                id: worker,
+                host: SpaceId(0),
+                guard: Guard::from_creation(None),
+            },
+            visible(worker, space),
+        ]);
+        assert_eq!(errors.load(Ordering::Relaxed), 1);
+        system.shutdown();
     }
 }

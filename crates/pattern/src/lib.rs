@@ -76,20 +76,32 @@ pub struct Pattern {
 
 impl Pattern {
     /// Parses and compiles a pattern.
+    /// Fails on a syntax error, and on a pattern whose automaton would
+    /// store more than [`nfa::MAX_PARSED_CLOSURES`] closure entries.
     pub fn parse(text: &str) -> Result<Pattern, ParseError> {
         let ast = parse::parse(text)?;
-        Ok(Pattern::from_ast_with_text(ast, text.to_owned()))
+        let nfa = nfa::compile(&ast, nfa::MAX_PARSED_CLOSURES).ok_or_else(|| ParseError {
+            offset: 0,
+            message: format!(
+                "pattern too large: its automaton needs more than {} closure entries",
+                nfa::MAX_PARSED_CLOSURES
+            ),
+        })?;
+        Ok(Pattern {
+            ast,
+            nfa,
+            text: text.to_owned(),
+        })
     }
 
     /// Compiles a pattern from an already-built AST.
     pub fn from_ast(ast: Ast) -> Pattern {
-        let text = ast.to_string();
-        Pattern::from_ast_with_text(ast, text)
-    }
-
-    fn from_ast_with_text(ast: Ast, text: String) -> Pattern {
-        let nfa = nfa::compile(&ast);
-        Pattern { ast, nfa, text }
+        let nfa = nfa::compile(&ast, usize::MAX).expect("NFA closures exceed u32 offsets");
+        Pattern {
+            text: ast.to_string(),
+            ast,
+            nfa,
+        }
     }
 
     /// The pattern matching *any* attribute — the paper's `*` in

@@ -228,7 +228,7 @@ mod tests {
     use actorspace_atoms::path;
 
     fn nfa(s: &str) -> Nfa {
-        compile(&parse(s).unwrap())
+        compile(&parse(s).unwrap(), usize::MAX).unwrap()
     }
 
     fn m(pat: &str, p: &str) -> bool {

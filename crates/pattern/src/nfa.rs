@@ -79,6 +79,13 @@ impl Nfa {
     /// (product, determinization, complement), which synthesize automata
     /// that have no surface-syntax AST.
     pub fn from_parts(states: Vec<State>, start: StateId, accept: StateId) -> Nfa {
+        Nfa::within(states, start, accept, usize::MAX).expect("NFA closures exceed u32 offsets")
+    }
+
+    /// [`Nfa::from_parts`], or `None` once the closures would hold more
+    /// than `limit` entries.
+    fn within(states: Vec<State>, start: StateId, accept: StateId, limit: usize) -> Option<Nfa> {
+        let limit = limit.min(u32::MAX as usize);
         debug_assert!((start as usize) < states.len());
         debug_assert!((accept as usize) < states.len());
         let mut entered = vec![false; states.len()];
@@ -105,15 +112,18 @@ impl Nfa {
                     stack.extend_from_slice(&states[t as usize].eps);
                 }
             }
-            closure_at.push(u32::try_from(closures.len()).expect("NFA closures too large"));
+            if closures.len() > limit {
+                return None;
+            }
+            closure_at.push(closures.len() as u32);
         }
-        Nfa {
+        Some(Nfa {
             states,
             start,
             accept,
             closures,
             closure_at,
-        }
+        })
     }
 
     /// The start state.
@@ -264,11 +274,19 @@ impl Builder {
     }
 }
 
-/// Compiles an AST into its Thompson NFA.
-pub fn compile(ast: &Ast) -> Nfa {
+/// The most ε-closure entries [`Pattern::parse`](crate::Pattern::parse)
+/// lets one NFA store. A sequence of k optional parts stores about k²/2
+/// entries, so text from outside the program (an interpreted script, a
+/// shell line) could otherwise make compiling quadratic in its length.
+/// This bound is 4 MiB of closures; about 1,400 `(*)?` parts reach it.
+pub const MAX_PARSED_CLOSURES: usize = 1 << 20;
+
+/// Compiles an AST into its Thompson NFA, or `None` if its closures would
+/// hold more than `limit` entries.
+pub fn compile(ast: &Ast, limit: usize) -> Option<Nfa> {
     let mut b = Builder { states: Vec::new() };
     let (start, accept) = b.fragment(ast);
-    Nfa::from_parts(b.states, start, accept)
+    Nfa::within(b.states, start, accept, limit)
 }
 
 #[cfg(test)]
@@ -277,7 +295,7 @@ mod tests {
     use crate::parse::parse;
 
     fn nfa(s: &str) -> Nfa {
-        compile(&parse(s).unwrap())
+        compile(&parse(s).unwrap(), usize::MAX).unwrap()
     }
 
     #[test]
@@ -293,6 +311,17 @@ mod tests {
         assert!(Trans::In(set.clone()).accepts(a));
         assert!(!Trans::NotIn(set.clone()).accepts(a));
         assert!(Trans::NotIn(set).accepts(atom("nfa-c")));
+    }
+
+    #[test]
+    fn parse_rejects_patterns_whose_closures_exceed_the_bound() {
+        let optional_parts = |k: usize| vec!["(*)?"; k].join("/");
+        let fits = nfa(&optional_parts(1_000));
+        assert!(fits.closures.len() <= MAX_PARSED_CLOSURES);
+        assert!(crate::Pattern::parse(&optional_parts(1_000)).is_ok());
+        let err = crate::Pattern::parse(&optional_parts(10_000))
+            .expect_err("10,000 optional parts exceed the bound");
+        assert!(err.message.contains("too large"), "{err}");
     }
 
     #[test]
