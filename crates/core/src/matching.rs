@@ -10,38 +10,40 @@
 //! Rather than materializing every joined attribute path (exponential in
 //! the worst case), resolution walks the membership tree carrying the
 //! pattern NFA's live [`StateSet`]: each attribute advances the state set
-//! atom by atom, actor members are collected when the set accepts, and
-//! space members are descended into with the post-prefix state set. Dead
-//! state sets prune whole subtrees. The visibility relation is a DAG
-//! (§5.7), so the walk terminates; a depth limit additionally bounds work.
+//! atom by atom, and every member whose attribute leaves the set accepting
+//! is reported — an actor when resolving to actors
+//! ([`ShardedRegistry::resolve`](crate::ShardedRegistry::resolve)), a space
+//! when resolving to spaces
+//! ([`ShardedRegistry::resolve_spaces`](crate::ShardedRegistry::resolve_spaces)).
+//! Space members are also descended into with the
+//! post-prefix state set. Dead state sets prune whole subtrees. The
+//! visibility relation is a DAG (§5.7), so the walk terminates; a depth
+//! limit additionally bounds work. A literal pattern resolving to actors
+//! skips the NFA and reads each space's attribute index instead (E12).
 
 use std::collections::HashSet;
 
+use actorspace_atoms::Path;
 use actorspace_pattern::{Pattern, StateSet};
 
 use crate::error::{Error, Result};
 use crate::ids::{ActorId, MemberId, SpaceId};
-use crate::space::Space;
-
-/// Read access to spaces during a resolution walk: the coordinator's set
-/// of locked shards (all of them, or the single-shard fast path).
-pub(crate) trait SpaceStore<M> {
-    /// The space, if it exists in this view.
-    fn get_space(&self, id: SpaceId) -> Option<&Space<M>>;
-}
+use crate::shard::Locked;
 
 /// Resolves `pattern` in `space` to the set of matching visible actors,
 /// descending through visible sub-spaces per the structured-attribute
 /// rule. The result is deduplicated and sorted (an actor visible via
 /// several attribute paths is returned once).
 pub(crate) fn resolve_actors<M>(
-    store: &impl SpaceStore<M>,
+    locked: &Locked<'_, M>,
     pattern: &Pattern,
     space: SpaceId,
 ) -> Result<Vec<ActorId>> {
-    let root = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    let max_depth = root.policy().max_match_depth;
+    let max_depth = max_depth(locked, space)?;
     let mut out: HashSet<ActorId> = HashSet::new();
+    let mut found = |a| {
+        out.insert(a);
+    };
     // Fast path: a literal pattern matches exactly one attribute path,
     // so the per-space inverted index answers it without an NFA walk.
     // Attributes are always literal, so this is complete, including
@@ -49,78 +51,84 @@ pub(crate) fn resolve_actors<M>(
     if let Some(lit) = pattern.as_literal() {
         let mut visited = HashSet::new();
         walk_literal(
-            store,
+            locked,
             pattern,
             &lit,
             space,
             0,
             max_depth,
             &mut visited,
-            &mut |a| {
-                out.insert(a);
+            &mut found,
+        )?;
+    } else {
+        let mut visited = HashSet::new();
+        walk(
+            locked,
+            pattern,
+            space,
+            pattern.start(),
+            0,
+            max_depth,
+            &mut visited,
+            &mut |m| {
+                if let MemberId::Actor(a) = m {
+                    found(a);
+                }
             },
         )?;
-        let mut v: Vec<ActorId> = out.into_iter().collect();
-        v.sort_unstable();
-        return Ok(v);
     }
-    let mut visited = HashSet::new();
-    walk(
-        store,
-        pattern,
-        space,
-        pattern.start(),
-        0,
-        max_depth,
-        &mut visited,
-        &mut |a| {
-            out.insert(a);
-        },
-    )?;
-    let mut v: Vec<ActorId> = out.into_iter().collect();
-    v.sort_unstable();
-    Ok(v)
+    Ok(sorted(out))
 }
 
 /// Resolves `pattern` to matching *spaces* (see
 /// [`ShardedRegistry::resolve_spaces`](crate::ShardedRegistry::resolve_spaces)).
-pub(crate) fn resolve_spaces_in<M>(
-    store: &impl SpaceStore<M>,
+pub(crate) fn resolve_spaces<M>(
+    locked: &Locked<'_, M>,
     pattern: &Pattern,
     space: SpaceId,
 ) -> Result<Vec<SpaceId>> {
-    let root = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    let max_depth = root.policy().max_match_depth;
+    let max_depth = max_depth(locked, space)?;
     let mut out: HashSet<SpaceId> = HashSet::new();
-    let mut visited = HashSet::new();
-    walk_spaces(
-        store,
+    walk(
+        locked,
         pattern,
         space,
         pattern.start(),
         0,
         max_depth,
-        &mut visited,
-        &mut |s| {
-            out.insert(s);
+        &mut HashSet::new(),
+        &mut |m| {
+            if let MemberId::Space(s) = m {
+                out.insert(s);
+            }
         },
     )?;
-    let mut v: Vec<SpaceId> = out.into_iter().collect();
+    Ok(sorted(out))
+}
+
+/// The scope's descent bound, or `NoSuchSpace` if it is not locked.
+fn max_depth<M>(locked: &Locked<'_, M>, space: SpaceId) -> Result<usize> {
+    let root = locked.get(space).ok_or(Error::NoSuchSpace(space))?;
+    Ok(root.policy().max_match_depth)
+}
+
+fn sorted<T: Ord>(set: HashSet<T>) -> Vec<T> {
+    let mut v: Vec<T> = set.into_iter().collect();
     v.sort_unstable();
-    Ok(v)
+    v
 }
 
 /// Literal resolution: exact index hit for direct actors, plus recursion
 /// into sub-spaces whose (literal) attribute prefixes the target path.
 #[allow(clippy::too_many_arguments)] // internal recursion carries its full context
 fn walk_literal<M>(
-    store: &impl SpaceStore<M>,
+    locked: &Locked<'_, M>,
     original: &Pattern,
-    target: &actorspace_atoms::Path,
+    target: &Path,
     space: SpaceId,
     depth: usize,
     max_depth: usize,
-    visited: &mut HashSet<(SpaceId, actorspace_atoms::Path)>,
+    visited: &mut HashSet<(SpaceId, Path)>,
     found: &mut impl FnMut(ActorId),
 ) -> Result<()> {
     // Visited-state dedup: terminates cyclic visibility graphs (§5.7's
@@ -128,7 +136,7 @@ fn walk_literal<M>(
     if !visited.insert((space, target.clone())) {
         return Ok(());
     }
-    let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
+    let sp = locked.get(space).ok_or(Error::NoSuchSpace(space))?;
     for member in sp.members_with_attr(target) {
         if let MemberId::Actor(a) = member {
             // Index hits have local attribute == remaining target, so a
@@ -147,7 +155,7 @@ fn walk_literal<M>(
         return Ok(());
     }
     for sub in sp.space_members() {
-        if store.get_space(sub).is_none() {
+        if locked.get(sub).is_none() {
             continue;
         }
         let Some(attrs) = sp.members().get(&MemberId::Space(sub)) else {
@@ -156,7 +164,7 @@ fn walk_literal<M>(
         for attr in attrs {
             if let Some(rest) = target.strip_prefix(attr) {
                 walk_literal(
-                    store,
+                    locked,
                     original,
                     &rest,
                     sub,
@@ -171,23 +179,27 @@ fn walk_literal<M>(
     Ok(())
 }
 
+/// The NFA walk: reports every member of `space` (and, through space
+/// members, of the spaces below it) whose joined attribute path the
+/// pattern accepts. An actor is reported only if the space's custom
+/// matching rule, if any, admits it.
 #[allow(clippy::too_many_arguments)] // internal recursion carries its full context
 fn walk<M>(
-    store: &impl SpaceStore<M>,
+    locked: &Locked<'_, M>,
     pattern: &Pattern,
     space: SpaceId,
     states: StateSet,
     depth: usize,
     max_depth: usize,
     visited: &mut HashSet<(SpaceId, StateSet)>,
-    found: &mut impl FnMut(ActorId),
+    found: &mut impl FnMut(MemberId),
 ) -> Result<()> {
     // Visited-state dedup (see `walk_literal`).
     if !visited.insert((space, states.clone())) {
         return Ok(());
     }
-    let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    for (member, attrs) in sp.members() {
+    let sp = locked.get(space).ok_or(Error::NoSuchSpace(space))?;
+    for (&member, attrs) in sp.members() {
         for attr in attrs {
             // Advance the NFA through this attribute's atoms.
             let mut st = states.clone();
@@ -202,90 +214,34 @@ fn walk<M>(
             if dead {
                 continue;
             }
-            match *member {
-                MemberId::Actor(a) => {
-                    if st.is_accepting(pattern.nfa()) {
-                        let admitted = sp
-                            .match_filter()
-                            .map(|f| f(pattern, *member, attr))
-                            .unwrap_or(true);
-                        if admitted {
-                            found(a);
-                        }
-                    }
-                }
-                MemberId::Space(sub) => {
-                    if depth < max_depth {
-                        // Structured attribute: continue matching inside
-                        // the sub-space with the advanced state set.
-                        // Missing sub-spaces (e.g. remote stubs) are
-                        // skipped rather than failing the whole resolve.
-                        if store.get_space(sub).is_some() {
-                            walk(
-                                store,
-                                pattern,
-                                sub,
-                                st,
-                                depth + 1,
-                                max_depth,
-                                visited,
-                                found,
-                            )?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion carries its full context
-fn walk_spaces<M>(
-    store: &impl SpaceStore<M>,
-    pattern: &Pattern,
-    space: SpaceId,
-    states: StateSet,
-    depth: usize,
-    max_depth: usize,
-    visited: &mut HashSet<(SpaceId, StateSet)>,
-    found: &mut impl FnMut(SpaceId),
-) -> Result<()> {
-    if !visited.insert((space, states.clone())) {
-        return Ok(());
-    }
-    let sp = store.get_space(space).ok_or(Error::NoSuchSpace(space))?;
-    for (member, attrs) in sp.members() {
-        let MemberId::Space(sub) = *member else {
-            continue;
-        };
-        for attr in attrs {
-            let mut st = states.clone();
-            let mut dead = false;
-            for atom in attr.iter() {
-                st = st.advance(pattern.nfa(), atom);
-                if st.is_dead() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                continue;
-            }
             if st.is_accepting(pattern.nfa()) {
-                found(sub);
+                let admitted = match member {
+                    MemberId::Actor(_) => sp
+                        .match_filter()
+                        .map(|f| f(pattern, member, attr))
+                        .unwrap_or(true),
+                    MemberId::Space(_) => true,
+                };
+                if admitted {
+                    found(member);
+                }
             }
-            if depth < max_depth && store.get_space(sub).is_some() {
-                walk_spaces(
-                    store,
-                    pattern,
-                    sub,
-                    st,
-                    depth + 1,
-                    max_depth,
-                    visited,
-                    found,
-                )?;
+            // Structured attribute: continue matching inside the sub-space
+            // with the advanced state set. Missing sub-spaces (e.g. remote
+            // stubs) are skipped rather than failing the whole resolve.
+            if let MemberId::Space(sub) = member {
+                if depth < max_depth && locked.get(sub).is_some() {
+                    walk(
+                        locked,
+                        pattern,
+                        sub,
+                        st,
+                        depth + 1,
+                        max_depth,
+                        visited,
+                        found,
+                    )?;
+                }
             }
         }
     }

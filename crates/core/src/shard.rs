@@ -27,6 +27,14 @@
 //!    in ascending [`SpaceId`] order, as one batch computed up front from
 //!    the meta tables (the visibility closure of the operation's scope).
 //!
+//! Every send, broadcast, resend, `resolve` and `resolve_spaces` takes its
+//! batch the same way: the closure of its scope, or, when the scope has no
+//! visible sub-spaces, that one shard alone, with no map. All four
+//! deliveries then run one path, which resolves, hands the message to one
+//! matching actor or to all of them, and otherwise applies the §5.6
+//! unmatched policy; woken suspended messages reach their recipients
+//! through the same hand-off.
+//!
 //! No code path acquires meta after a shard lock, and no path acquires a
 //! lower-id shard after a higher-id one, so the wait-for graph is acyclic
 //! and the coordinator is deadlock-free by construction. Operations that
@@ -71,7 +79,7 @@ use crate::error::{Error, Result};
 use crate::gc::GcReport;
 use crate::ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};
 use crate::manager::Manager;
-use crate::matching::{self, SpaceStore};
+use crate::matching;
 use crate::policy::{CyclePolicy, ManagerPolicy, UnmatchedPolicy};
 use crate::space::{DeliveryKind, Pending, PersistentBroadcast, Space, SpaceInfo};
 use crate::visibility;
@@ -175,54 +183,35 @@ struct Meta<M> {
     cycles_tolerated: bool,
 }
 
-/// The shard mutexes an operation holds, keyed (and therefore iterated)
-/// in `SpaceId` order. Implements [`SpaceStore`] so the pattern-resolution
-/// walks in [`matching`] run unchanged against a locked shard set.
-type Guards<'a, M> = BTreeMap<SpaceId, MutexGuard<'a, Space<M>>>;
+/// The shard mutexes an operation holds. A scope with no visible
+/// sub-spaces has a one-shard lock set and takes `One`, with no map; every
+/// other set is `Many`, keyed (and therefore iterated and locked) in
+/// ascending `SpaceId` order. The resolution walks in [`matching`] read
+/// spaces through it; a missing space reads as absent, like a remote stub.
+pub(crate) enum Locked<'a, M> {
+    One(SpaceId, MutexGuard<'a, Space<M>>),
+    Many(BTreeMap<SpaceId, MutexGuard<'a, Space<M>>>),
+}
+
+impl<'a, M> Locked<'a, M> {
+    pub(crate) fn get(&self, id: SpaceId) -> Option<&Space<M>> {
+        match self {
+            Locked::One(one, g) => (*one == id).then_some(&**g),
+            Locked::Many(map) => map.get(&id).map(|g| &**g),
+        }
+    }
+
+    fn get_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>> {
+        match self {
+            Locked::One(one, g) => (*one == id).then_some(&mut **g),
+            Locked::Many(map) => map.get_mut(&id).map(|g| &mut **g),
+        }
+    }
+}
 
 /// The `Arc` handles the guards borrow from; owning them locally lets the
 /// meta tables stay mutable while shard locks are held.
 type ShardArcs<M> = Vec<(SpaceId, Arc<Mutex<Space<M>>>)>;
-
-impl<'a, M> SpaceStore<M> for BTreeMap<SpaceId, MutexGuard<'a, Space<M>>> {
-    fn get_space(&self, id: SpaceId) -> Option<&Space<M>> {
-        self.get(&id).map(|g| &**g)
-    }
-}
-
-/// Mutable access to the locked shards of one delivery — what the
-/// `*_locked` internals need beyond [`SpaceStore`]'s read view.
-trait GuardStore<M>: SpaceStore<M> {
-    fn get_space_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>>;
-}
-
-impl<'a, M> GuardStore<M> for BTreeMap<SpaceId, MutexGuard<'a, Space<M>>> {
-    fn get_space_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>> {
-        self.get_mut(&id).map(|g| &mut **g)
-    }
-}
-
-/// Exactly one locked shard — the delivery fast path. A scope with no
-/// visible sub-spaces (`meta.edges` empty for it) has a singleton lock
-/// set, so sends and broadcasts skip the closure walk and the guard map
-/// and lock the one mutex directly. The resolution walk cannot leave the
-/// scope (no space members), so a one-entry store is a complete view.
-struct SingleGuard<'a, M> {
-    id: SpaceId,
-    guard: MutexGuard<'a, Space<M>>,
-}
-
-impl<'a, M> SpaceStore<M> for SingleGuard<'a, M> {
-    fn get_space(&self, id: SpaceId) -> Option<&Space<M>> {
-        (id == self.id).then(|| &*self.guard)
-    }
-}
-
-impl<'a, M> GuardStore<M> for SingleGuard<'a, M> {
-    fn get_space_mut(&mut self, id: SpaceId) -> Option<&mut Space<M>> {
-        (id == self.id).then(|| &mut *self.guard)
-    }
-}
 
 /// Clones the shard `Arc`s for `ids` (missing spaces are skipped — the
 /// resolution walks treat them like remote stubs), sorted ascending so a
@@ -235,32 +224,31 @@ fn arcs_for<M>(meta: &Meta<M>, ids: impl IntoIterator<Item = SpaceId>) -> ShardA
 }
 
 /// Locks every shard in `arcs`, in the ascending id order `arcs` is built
-/// in — one of the two places shard mutexes are acquired (the other is the
-/// singleton fast path in [`lock_single`]).
-fn lock_all<M>(arcs: &ShardArcs<M>) -> Guards<'_, M> {
-    arcs.iter().map(|(id, m)| (*id, m.lock())).collect()
+/// in — the lock set of an operation that changes the meta tables.
+fn lock_all<M>(arcs: &ShardArcs<M>) -> Locked<'_, M> {
+    Locked::Many(arcs.iter().map(|(id, m)| (*id, m.lock())).collect())
 }
 
-/// Delivery fast path: when `scope` has no visible sub-spaces its lock set
-/// is exactly `{scope}`, so skip the closure walk and the guard map and
-/// lock the one shard in place (a singleton set trivially satisfies the
-/// ascending-order protocol). Returns the shard's metric handles alongside
-/// so callers bump per-space counters without a second directory lookup.
-fn lock_single<'a, M>(
-    meta: &'a Meta<M>,
-    scope: SpaceId,
-) -> Option<(SingleGuard<'a, M>, &'a ShardMetrics)> {
+/// The lock set of a read-path operation scoped to `scope` (a delivery or
+/// a resolution): the shards its resolution can reach. They are borrowed
+/// from `meta`, which the caller holds read-locked. A scope with no visible
+/// sub-spaces locks its one shard in place (a singleton set trivially
+/// satisfies the ascending-order protocol); a missing scope locks nothing.
+fn lock_scope<M>(meta: &Meta<M>, scope: SpaceId) -> Locked<'_, M> {
     if meta.edges.get(&scope).is_some_and(|subs| !subs.is_empty()) {
-        return None;
+        let ids: BTreeSet<SpaceId> = visibility::reachable(&meta.edges, scope)
+            .into_iter()
+            .collect();
+        return Locked::Many(
+            ids.into_iter()
+                .filter_map(|id| meta.shards.get(&id).map(|sh| (id, sh.space.lock())))
+                .collect(),
+        );
     }
-    let sh = meta.shards.get(&scope)?;
-    Some((
-        SingleGuard {
-            id: scope,
-            guard: sh.space.lock(),
-        },
-        &sh.m,
-    ))
+    match meta.shards.get(&scope) {
+        Some(sh) => Locked::One(scope, sh.space.lock()),
+        None => Locked::Many(BTreeMap::new()),
+    }
 }
 
 fn member_guard<M>(meta: &Meta<M>, member: MemberId) -> Result<&Guard> {
@@ -274,10 +262,10 @@ fn member_guard<M>(meta: &Meta<M>, member: MemberId) -> Result<&Guard> {
 /// space's members survive; actors it hosted are re-hosted to the root.
 /// The caller must hold the space's own shard and all its parents in
 /// `guards`.
-fn remove_space_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: SpaceId) {
+fn remove_space_locked<M>(meta: &mut Meta<M>, guards: &mut Locked<'_, M>, id: SpaceId) {
     if meta.shards.remove(&id).is_some() {
         // Drop reverse edges of its members.
-        if let Some(sp) = guards.remove(&id) {
+        if let Some(sp) = guards.get(id) {
             for member in sp.members().keys() {
                 if let Some(set) = meta.containers.get_mut(member) {
                     set.remove(&id);
@@ -293,7 +281,7 @@ fn remove_space_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: Sp
     let as_member = MemberId::Space(id);
     if let Some(parents) = meta.containers.remove(&as_member) {
         for p in parents {
-            if let Some(ps) = guards.get_mut(&p) {
+            if let Some(ps) = guards.get_mut(p) {
                 ps.remove_member(as_member);
             }
             if let Some(e) = meta.edges.get_mut(&p) {
@@ -315,12 +303,12 @@ fn remove_space_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: Sp
 
 /// Removes an actor entirely (death): its record, memberships and root
 /// mark. The caller must hold every space the actor is visible in.
-fn remove_actor_locked<M>(meta: &mut Meta<M>, guards: &mut Guards<'_, M>, id: ActorId) {
+fn remove_actor_locked<M>(meta: &mut Meta<M>, guards: &mut Locked<'_, M>, id: ActorId) {
     meta.actors.remove(&id);
     let as_member = MemberId::Actor(id);
     if let Some(parents) = meta.containers.remove(&as_member) {
         for p in parents {
-            if let Some(ps) = guards.get_mut(&p) {
+            if let Some(ps) = guards.get_mut(p) {
                 ps.remove_member(as_member);
             }
         }
@@ -591,10 +579,12 @@ impl<M: Clone> ShardedRegistry<M> {
         set
     }
 
-    /// `make_visible(a, attributes @ space, capability)` (§5.4). Locks the
-    /// full wake closure (plus, for a space member, the child's own
-    /// subtree, which becomes reachable by the insertion), runs every check
-    /// under those locks, and only then mutates — so a failed check never
+    /// `make_visible(a, attributes @ space, capability)` (§5.4). Checks run
+    /// in order: the member's capability, the space's existence, then the
+    /// §5.7 cycle rule on the meta edge map, before any lock set is taken.
+    /// Only then does it lock the full wake closure (plus, for a space
+    /// member, the child's own subtree, which becomes reachable by the
+    /// insertion), ask the manager, and mutate — so a failed check never
     /// needs rollback.
     pub fn make_visible(
         &self,
@@ -607,30 +597,31 @@ impl<M: Clone> ShardedRegistry<M> {
         let _op = enter_coordinator("ShardedRegistry::make_visible");
         let mut meta = self.meta.write();
         member_guard(&meta, member)?.check(cap, Rights::VISIBILITY)?;
-        if !meta.shards.contains_key(&space) {
-            return Err(Error::NoSuchSpace(space));
-        }
+        let sh = meta.shards.get(&space).ok_or(Error::NoSuchSpace(space))?;
+        // §5.7: reject cycles before inserting — unless the space's manager
+        // tolerates cycles (resolution then dedups visited states). The
+        // write-locked meta keeps the policy from changing once read.
+        let tolerate_cycle = match member {
+            MemberId::Space(child) => {
+                let forbid = sh.space.lock().policy().cycles == CyclePolicy::Forbid;
+                if forbid && visibility::would_cycle_edges(&meta.edges, child, space) {
+                    return Err(Error::WouldCycle {
+                        child,
+                        parent: space,
+                    });
+                }
+                !forbid
+            }
+            MemberId::Actor(_) => false,
+        };
         let mut set = Self::wake_lock_set(&meta, space);
         if let MemberId::Space(child) = member {
             set.extend(visibility::reachable(&meta.edges, child));
         }
         let arcs = arcs_for(&meta, set);
         let mut guards = lock_all(&arcs);
-        // §5.7: reject cycles *before* inserting — unless the space's
-        // manager tolerates cycles (resolution then dedups visited states).
-        let forbid = guards
-            .get(&space)
-            .is_some_and(|sp| sp.policy().cycles == CyclePolicy::Forbid);
-        if let MemberId::Space(child) = member {
-            if forbid && visibility::would_cycle_edges(&meta.edges, child, space) {
-                return Err(Error::WouldCycle {
-                    child,
-                    parent: space,
-                });
-            }
-        }
         {
-            let sp = guards.get_mut(&space).expect("scope is in the lock set");
+            let sp = guards.get_mut(space).expect("scope is in the lock set");
             let authorized = {
                 let _cb = enter_callback("Manager::authorize_visibility");
                 sp.manager_mut().authorize_visibility(member, &attrs)
@@ -645,7 +636,7 @@ impl<M: Clone> ShardedRegistry<M> {
         meta.containers.entry(member).or_default().insert(space);
         if let MemberId::Space(child) = member {
             meta.edges.entry(space).or_default().insert(child);
-            meta.cycles_tolerated |= !forbid;
+            meta.cycles_tolerated |= tolerate_cycle;
         }
         Self::validate_dag_after_mutation(&meta, "make_visible");
         self.wake_locked(&meta, &mut guards, space, sink);
@@ -670,7 +661,7 @@ impl<M: Clone> ShardedRegistry<M> {
         let arcs = arcs_for(&meta, [space]);
         let mut guards = lock_all(&arcs);
         {
-            let sp = guards.get_mut(&space).expect("existence checked above");
+            let sp = guards.get_mut(space).expect("existence checked above");
             if !sp.remove_member(member) {
                 return Err(Error::NotVisible { member, space });
             }
@@ -717,7 +708,7 @@ impl<M: Clone> ShardedRegistry<M> {
         let arcs = arcs_for(&meta, set);
         let mut guards = lock_all(&arcs);
         {
-            let sp = guards.get_mut(&space).expect("scope is in the lock set");
+            let sp = guards.get_mut(space).expect("scope is in the lock set");
             let authorized = {
                 let _cb = enter_callback("Manager::authorize_visibility");
                 sp.manager_mut().authorize_visibility(member, &attrs)
@@ -825,23 +816,7 @@ impl<M: Clone> ShardedRegistry<M> {
         sink: Sink<'_, M>,
     ) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::send");
-        let trace = self.obs.tracer.begin();
-        self.m.sends.inc();
-        self.obs
-            .tracer
-            .record(trace, self.node, Stage::Submitted { broadcast: false });
-        let meta = self.meta.read();
-        if let Some(single) = lock_single(&meta, space) {
-            single.1.sends.inc();
-            let mut single = single.0;
-            return self.send_locked(&meta, &mut single, pattern, space, msg, sink, trace);
-        }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
-        let mut guards = lock_all(&arcs);
-        if let Some(sh) = meta.shards.get(&space) {
-            sh.m.sends.inc();
-        }
-        self.send_locked(&meta, &mut guards, pattern, space, msg, sink, trace)
+        self.submit(DeliveryKind::Send, pattern, space, msg, sink)
     }
 
     /// `broadcast(pattern@space, message)` — deliver to all matching actors
@@ -854,23 +829,7 @@ impl<M: Clone> ShardedRegistry<M> {
         sink: Sink<'_, M>,
     ) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::broadcast");
-        let trace = self.obs.tracer.begin();
-        self.m.broadcasts.inc();
-        self.obs
-            .tracer
-            .record(trace, self.node, Stage::Submitted { broadcast: true });
-        let meta = self.meta.read();
-        if let Some(single) = lock_single(&meta, space) {
-            single.1.broadcasts.inc();
-            let mut single = single.0;
-            return self.broadcast_locked(&meta, &mut single, pattern, space, msg, sink, trace);
-        }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
-        let mut guards = lock_all(&arcs);
-        if let Some(sh) = meta.shards.get(&space) {
-            sh.m.broadcasts.inc();
-        }
-        self.broadcast_locked(&meta, &mut guards, pattern, space, msg, sink, trace)
+        self.submit(DeliveryKind::Broadcast, pattern, space, msg, sink)
     }
 
     /// Re-resolves a previously routed message against the current state —
@@ -883,50 +842,15 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resend(&self, route: &Route, msg: M, sink: Sink<'_, M>) -> Result<Disposition> {
         let _op = enter_coordinator("ShardedRegistry::resend");
         let meta = self.meta.read();
-        if let Some((mut single, _)) = lock_single(&meta, route.space) {
-            return match route.kind {
-                DeliveryKind::Send => self.send_locked(
-                    &meta,
-                    &mut single,
-                    &route.pattern,
-                    route.space,
-                    msg,
-                    sink,
-                    route.trace,
-                ),
-                DeliveryKind::Broadcast => self.broadcast_locked(
-                    &meta,
-                    &mut single,
-                    &route.pattern,
-                    route.space,
-                    msg,
-                    sink,
-                    route.trace,
-                ),
-            };
-        }
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, route.space));
-        let mut guards = lock_all(&arcs);
-        match route.kind {
-            DeliveryKind::Send => self.send_locked(
-                &meta,
-                &mut guards,
-                &route.pattern,
-                route.space,
-                msg,
-                sink,
-                route.trace,
-            ),
-            DeliveryKind::Broadcast => self.broadcast_locked(
-                &meta,
-                &mut guards,
-                &route.pattern,
-                route.space,
-                msg,
-                sink,
-                route.trace,
-            ),
-        }
+        self.deliver(
+            &meta,
+            route.kind,
+            &route.pattern,
+            route.space,
+            msg,
+            sink,
+            route.trace,
+        )
     }
 
     /// Cancels every persistent broadcast registered on `space`. Requires
@@ -940,13 +864,41 @@ impl<M: Clone> ShardedRegistry<M> {
         Ok(n)
     }
 
+    /// A fresh send or broadcast: begins its trace, counts the submit on
+    /// the node and on the scope space, and delivers it.
+    fn submit(
+        &self,
+        kind: DeliveryKind,
+        pattern: &Pattern,
+        space: SpaceId,
+        msg: M,
+        sink: Sink<'_, M>,
+    ) -> Result<Disposition> {
+        let trace = self.obs.tracer.begin();
+        let meta = self.meta.read();
+        let shard = meta.shards.get(&space).map(|sh| &sh.m);
+        let (on_node, on_space) = match kind {
+            DeliveryKind::Send => (&self.m.sends, shard.map(|m| &m.sends)),
+            DeliveryKind::Broadcast => (&self.m.broadcasts, shard.map(|m| &m.broadcasts)),
+        };
+        on_node.inc();
+        if let Some(c) = on_space {
+            c.inc();
+        }
+        let broadcast = kind == DeliveryKind::Broadcast;
+        self.obs
+            .tracer
+            .record(trace, self.node, Stage::Submitted { broadcast });
+        self.deliver(&meta, kind, pattern, space, msg, sink, trace)
+    }
+
     /// Resolution with exact-prefix-index accounting: a literal pattern
     /// takes the index fast path (E12), and the scope shard's per-space
     /// hit/miss counter is bumped by outcome.
     fn resolve_counted(
         &self,
         meta: &Meta<M>,
-        guards: &impl GuardStore<M>,
+        guards: &Locked<'_, M>,
         pattern: &Pattern,
         scope: SpaceId,
     ) -> Result<Vec<ActorId>> {
@@ -964,25 +916,55 @@ impl<M: Clone> ShardedRegistry<M> {
         Ok(out)
     }
 
+    /// Every pattern-directed delivery, fresh or resent (§5.3, §5.6): locks
+    /// the scope's shards, resolves, hands the message to the matches, and
+    /// otherwise suspends, discards or fails it as the unmatched policy
+    /// says. A send asks that policy only when nothing matched; a broadcast
+    /// always does, because a persistent broadcast registers even when it
+    /// matched.
     #[allow(clippy::too_many_arguments)] // internal delivery plumbing carries its full context
-    fn send_locked(
+    fn deliver(
         &self,
         meta: &Meta<M>,
-        guards: &mut impl GuardStore<M>,
+        kind: DeliveryKind,
         pattern: &Pattern,
         space: SpaceId,
         msg: M,
         sink: Sink<'_, M>,
         trace: TraceId,
     ) -> Result<Disposition> {
+        let mut guards = lock_scope(meta, space);
         let t0 = if trace.is_some() {
             self.obs.now_nanos()
         } else {
             0
         };
-        let candidates = self.resolve_counted(meta, guards, pattern, space)?;
+        let candidates = self.resolve_counted(meta, &guards, pattern, space)?;
+        let sp = guards.get_mut(space).ok_or(Error::NoSuchSpace(space))?;
+        let policy = match kind {
+            DeliveryKind::Send if !candidates.is_empty() => None,
+            DeliveryKind::Send => {
+                let _cb = enter_callback("Manager::unmatched_send");
+                Some(
+                    sp.manager_mut()
+                        .unmatched_send()
+                        .unwrap_or(sp.policy().unmatched_send),
+                )
+            }
+            DeliveryKind::Broadcast => {
+                let _cb = enter_callback("Manager::unmatched_broadcast");
+                Some(
+                    sp.manager_mut()
+                        .unmatched_broadcast()
+                        .unwrap_or(sp.policy().unmatched_broadcast),
+                )
+            }
+        };
         if !candidates.is_empty() {
-            self.m.matched.inc();
+            self.m.matched.add(match kind {
+                DeliveryKind::Send => 1,
+                DeliveryKind::Broadcast => candidates.len() as u64,
+            });
             if trace.is_some() {
                 self.m
                     .match_ns
@@ -995,50 +977,43 @@ impl<M: Clone> ShardedRegistry<M> {
                     },
                 );
             }
-            let pick = {
-                let sp = guards
-                    .get_space_mut(space)
-                    .ok_or(Error::NoSuchSpace(space))?;
-                let _cb = enter_callback("Manager::choose");
-                match sp.manager_mut().choose(&candidates) {
-                    Some(choice) => choice,
-                    None => sp.selector_mut().select(&candidates),
-                }
-            };
+        }
+        let persistent =
+            kind == DeliveryKind::Broadcast && policy == Some(UnmatchedPolicy::Persistent);
+        if persistent || !candidates.is_empty() {
             let route = Route {
                 pattern: pattern.clone(),
                 space,
-                kind: DeliveryKind::Send,
+                kind,
                 trace,
             };
-            let _cb = enter_callback("sink");
-            sink(pick, msg, Some(&route));
-            return Ok(Disposition::Delivered(1));
+            if !persistent {
+                let n = Self::dispatch(sp, &candidates, msg, &route, sink);
+                return Ok(Disposition::Delivered(n));
+            }
+            let n = if candidates.is_empty() {
+                0
+            } else {
+                Self::dispatch(sp, &candidates, msg.clone(), &route, sink)
+            };
+            sp.push_persistent(PersistentBroadcast {
+                pattern: route.pattern,
+                msg,
+                delivered: candidates.into_iter().collect(),
+            });
+            return Ok(Disposition::Persistent(n));
         }
-        let policy = {
-            let sp = guards
-                .get_space_mut(space)
-                .ok_or(Error::NoSuchSpace(space))?;
-            let _cb = enter_callback("Manager::unmatched_send");
-            sp.manager_mut()
-                .unmatched_send()
-                .unwrap_or(sp.policy().unmatched_send)
-        };
-        match policy {
+        match policy.expect("an unmatched delivery asked its policy") {
             UnmatchedPolicy::Suspend | UnmatchedPolicy::Persistent => {
                 self.m.suspended.inc();
                 self.obs.tracer.record(trace, self.node, Stage::Suspended);
-                let since_nanos = self.obs.now_nanos();
-                guards
-                    .get_space_mut(space)
-                    .ok_or(Error::NoSuchSpace(space))?
-                    .push_pending(Pending {
-                        pattern: pattern.clone(),
-                        msg,
-                        kind: DeliveryKind::Send,
-                        trace,
-                        since_nanos,
-                    });
+                sp.push_pending(Pending {
+                    pattern: pattern.clone(),
+                    msg,
+                    kind,
+                    trace,
+                    since_nanos: self.obs.now_nanos(),
+                });
                 Ok(Disposition::Suspended)
             }
             UnmatchedPolicy::Discard => {
@@ -1060,113 +1035,42 @@ impl<M: Clone> ShardedRegistry<M> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal delivery plumbing carries its full context
-    fn broadcast_locked(
-        &self,
-        meta: &Meta<M>,
-        guards: &mut impl GuardStore<M>,
-        pattern: &Pattern,
-        space: SpaceId,
+    /// Hands `msg` to the recipients of one delivery among `candidates`
+    /// (non-empty, sorted): for a send, the one that the scope's manager
+    /// chooses or, failing that, its selector picks; for a broadcast, every
+    /// candidate, each but the last getting a clone. Returns how many were
+    /// reached.
+    fn dispatch(
+        scope: &mut Space<M>,
+        candidates: &[ActorId],
         msg: M,
+        route: &Route,
         sink: Sink<'_, M>,
-        trace: TraceId,
-    ) -> Result<Disposition> {
-        let t0 = if trace.is_some() {
-            self.obs.now_nanos()
-        } else {
-            0
-        };
-        let candidates = self.resolve_counted(meta, guards, pattern, space)?;
-        let policy = {
-            let sp = guards
-                .get_space_mut(space)
-                .ok_or(Error::NoSuchSpace(space))?;
-            let _cb = enter_callback("Manager::unmatched_broadcast");
-            sp.manager_mut()
-                .unmatched_broadcast()
-                .unwrap_or(sp.policy().unmatched_broadcast)
-        };
-        if !candidates.is_empty() {
-            self.m.matched.add(candidates.len() as u64);
-            if trace.is_some() {
-                self.m
-                    .match_ns
-                    .record(self.obs.now_nanos().saturating_sub(t0));
-                self.obs.tracer.record(
-                    trace,
-                    self.node,
-                    Stage::Matched {
-                        candidates: candidates.len() as u32,
-                    },
-                );
-            }
-        }
-        let route = Route {
-            pattern: pattern.clone(),
-            space,
-            kind: DeliveryKind::Broadcast,
-            trace,
-        };
-        if policy == UnmatchedPolicy::Persistent {
-            {
+    ) -> usize {
+        match route.kind {
+            DeliveryKind::Send => {
+                let pick = {
+                    let _cb = enter_callback("Manager::choose");
+                    match scope.manager_mut().choose(candidates) {
+                        Some(choice) => choice,
+                        None => scope.selector_mut().select(candidates),
+                    }
+                };
                 let _cb = enter_callback("sink");
-                for &c in &candidates {
-                    sink(c, msg.clone(), Some(&route));
+                sink(pick, msg, Some(route));
+                1
+            }
+            DeliveryKind::Broadcast => {
+                let (&last, rest) = candidates
+                    .split_last()
+                    .expect("dispatch is called with candidates");
+                let _cb = enter_callback("sink");
+                for &c in rest {
+                    sink(c, msg.clone(), Some(route));
                 }
+                sink(last, msg, Some(route));
+                candidates.len()
             }
-            let n = candidates.len();
-            guards
-                .get_space_mut(space)
-                .ok_or(Error::NoSuchSpace(space))?
-                .push_persistent(PersistentBroadcast {
-                    pattern: pattern.clone(),
-                    msg,
-                    delivered: candidates.into_iter().collect(),
-                });
-            return Ok(Disposition::Persistent(n));
-        }
-        if !candidates.is_empty() {
-            let n = candidates.len();
-            let _cb = enter_callback("sink");
-            for c in candidates {
-                sink(c, msg.clone(), Some(&route));
-            }
-            return Ok(Disposition::Delivered(n));
-        }
-        match policy {
-            UnmatchedPolicy::Suspend => {
-                self.m.suspended.inc();
-                self.obs.tracer.record(trace, self.node, Stage::Suspended);
-                let since_nanos = self.obs.now_nanos();
-                guards
-                    .get_space_mut(space)
-                    .ok_or(Error::NoSuchSpace(space))?
-                    .push_pending(Pending {
-                        pattern: pattern.clone(),
-                        msg,
-                        kind: DeliveryKind::Broadcast,
-                        trace,
-                        since_nanos,
-                    });
-                Ok(Disposition::Suspended)
-            }
-            UnmatchedPolicy::Discard => {
-                self.m.discarded.inc();
-                self.obs
-                    .tracer
-                    .record(trace, self.node, Stage::DeadLettered);
-                Ok(Disposition::Discarded)
-            }
-            UnmatchedPolicy::Error => {
-                self.obs
-                    .tracer
-                    .record(trace, self.node, Stage::DeadLettered);
-                Err(Error::NoMatch {
-                    pattern: pattern.text().to_owned(),
-                    space,
-                })
-            }
-            UnmatchedPolicy::Persistent => unreachable!("handled above"),
         }
     }
 
@@ -1178,7 +1082,7 @@ impl<M: Clone> ShardedRegistry<M> {
     fn wake_locked(
         &self,
         meta: &Meta<M>,
-        guards: &mut Guards<'_, M>,
+        guards: &mut Locked<'_, M>,
         changed: SpaceId,
         sink: Sink<'_, M>,
     ) {
@@ -1194,12 +1098,12 @@ impl<M: Clone> ShardedRegistry<M> {
     fn retry_space_locked(
         &self,
         meta: &Meta<M>,
-        guards: &mut Guards<'_, M>,
+        guards: &mut Locked<'_, M>,
         space: SpaceId,
         sink: Sink<'_, M>,
     ) {
         // --- Suspended messages (§5.6) ---
-        let pending = match guards.get_mut(&space) {
+        let pending = match guards.get_mut(space) {
             Some(sp) if !sp.pending().is_empty() => sp.take_pending(),
             _ => Vec::new(),
         };
@@ -1218,35 +1122,17 @@ impl<M: Clone> ShardedRegistry<M> {
                 .record(self.obs.now_nanos().saturating_sub(p.since_nanos));
             self.obs.tracer.record(p.trace, self.node, Stage::Woken);
             let route = Route {
-                pattern: p.pattern.clone(),
+                pattern: p.pattern,
                 space,
                 kind: p.kind,
                 trace: p.trace,
             };
-            match p.kind {
-                DeliveryKind::Send => {
-                    let pick = guards.get_mut(&space).map(|sp| {
-                        let _cb = enter_callback("Manager::choose");
-                        match sp.manager_mut().choose(&candidates) {
-                            Some(choice) => choice,
-                            None => sp.selector_mut().select(&candidates),
-                        }
-                    });
-                    if let Some(pick) = pick {
-                        let _cb = enter_callback("sink");
-                        sink(pick, p.msg, Some(&route));
-                    }
-                }
-                DeliveryKind::Broadcast => {
-                    let _cb = enter_callback("sink");
-                    for c in candidates {
-                        sink(c, p.msg.clone(), Some(&route));
-                    }
-                }
+            if let Some(sp) = guards.get_mut(space) {
+                Self::dispatch(sp, &candidates, p.msg, &route, &mut *sink);
             }
         }
         if !still_waiting.is_empty() {
-            if let Some(sp) = guards.get_mut(&space) {
+            if let Some(sp) = guards.get_mut(space) {
                 for p in still_waiting {
                     sp.push_pending(p);
                 }
@@ -1254,14 +1140,18 @@ impl<M: Clone> ShardedRegistry<M> {
         }
 
         // --- Persistent broadcasts: exactly-once to new matches (§5.6) ---
-        let mut persistent = match guards.get_mut(&space) {
+        let mut persistent = match guards.get_mut(space) {
             Some(sp) if !sp.persistent().is_empty() => std::mem::take(sp.persistent_mut()),
             _ => return,
         };
         for pb in &mut persistent {
-            let candidates = self
+            let mut fresh = self
                 .resolve_counted(meta, guards, &pb.pattern, space)
                 .unwrap_or_default();
+            fresh.retain(|&c| pb.delivered.insert(c));
+            if fresh.is_empty() {
+                continue;
+            }
             // Late persistent deliveries are not tied back to the original
             // broadcast's trace: it may have terminated long ago, and an
             // open-ended stream of `delivered` events would make "exactly
@@ -1272,14 +1162,11 @@ impl<M: Clone> ShardedRegistry<M> {
                 kind: DeliveryKind::Broadcast,
                 trace: TraceId::NONE,
             };
-            let _cb = enter_callback("sink");
-            for c in candidates {
-                if pb.delivered.insert(c) {
-                    sink(c, pb.msg.clone(), Some(&route));
-                }
+            if let Some(sp) = guards.get_mut(space) {
+                Self::dispatch(sp, &fresh, pb.msg.clone(), &route, &mut *sink);
             }
         }
-        if let Some(sp) = guards.get_mut(&space) {
+        if let Some(sp) = guards.get_mut(space) {
             let mut merged = persistent;
             // Sinks do not re-enter the coordinator, but be defensive and
             // keep anything registered while the list was detached.
@@ -1299,8 +1186,7 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resolve(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<ActorId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve");
         let meta = self.meta.read();
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
-        let guards = lock_all(&arcs);
+        let guards = lock_scope(&meta, space);
         self.resolve_counted(&meta, &guards, pattern, space)
     }
 
@@ -1309,9 +1195,8 @@ impl<M: Clone> ShardedRegistry<M> {
     pub fn resolve_spaces(&self, pattern: &Pattern, space: SpaceId) -> Result<Vec<SpaceId>> {
         let _op = enter_coordinator("ShardedRegistry::resolve_spaces");
         let meta = self.meta.read();
-        let arcs = arcs_for(&meta, visibility::reachable(&meta.edges, space));
-        let guards = lock_all(&arcs);
-        matching::resolve_spaces_in(&guards, pattern, space)
+        let guards = lock_scope(&meta, space);
+        matching::resolve_spaces(&guards, pattern, space)
     }
 
     /// Resolves a pattern-addressed space to exactly one space id (lowest
@@ -1360,7 +1245,7 @@ impl<M: Clone> ShardedRegistry<M> {
                     if !live_spaces.insert(s) {
                         continue;
                     }
-                    let Some(space) = guards.get(&s) else {
+                    let Some(space) = guards.get(s) else {
                         continue;
                     };
                     work.extend(space.members().keys().copied());
@@ -1904,6 +1789,45 @@ mod tests {
     }
 
     #[test]
+    fn make_visible_checks_guard_then_space_then_cycle_then_manager() {
+        struct Veto;
+        impl Manager for Veto {
+            fn authorize_visibility(&mut self, _: MemberId, _: &[Path]) -> bool {
+                false
+            }
+        }
+        let mint = CapMinter::new();
+        let cap = mint.new_capability();
+        let r = reg();
+        let child = r.create_space(Some(&cap));
+        let parent = r.create_space(None);
+        let other = r.create_space(None);
+        let (_, mut sink) = collector();
+        r.make_visible(parent.into(), vec![path("p")], child, None, &mut sink)
+            .unwrap();
+        for s in [parent, other] {
+            r.set_space_manager(s, Box::new(Veto), None).unwrap();
+        }
+        let mut try_into = |space, cap| {
+            r.make_visible(child.into(), vec![path("c")], space, cap, &mut sink)
+                .unwrap_err()
+        };
+        assert!(matches!(try_into(parent, None), Error::Denied(_)));
+        assert_eq!(
+            try_into(SpaceId(404), Some(&cap)),
+            Error::NoSuchSpace(SpaceId(404))
+        );
+        assert_eq!(
+            try_into(parent, Some(&cap)),
+            Error::WouldCycle { child, parent }
+        );
+        assert_eq!(
+            try_into(other, Some(&cap)),
+            Error::Denied(GuardError::Missing)
+        );
+    }
+
+    #[test]
     fn destroy_space_detaches_and_rehosts() {
         let r = reg();
         let parent = r.create_space(None);
@@ -1980,5 +1904,208 @@ mod tests {
         assert!(!r.actor_exists(a));
         assert!(r.actor_exists(b));
         assert_eq!(r.resolve(&pattern("w"), s).unwrap(), vec![b]);
+    }
+
+    /// A manager that logs each arbitration and unmatched-policy hook the
+    /// coordinator asks, and leaves every decision to the policy table.
+    #[derive(Clone, Default)]
+    struct Recorder(Arc<std::sync::Mutex<Vec<&'static str>>>);
+
+    impl Recorder {
+        fn log(&self, hook: &'static str) {
+            self.0.lock().unwrap().push(hook);
+        }
+
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    impl Manager for Recorder {
+        fn choose(&mut self, _: &[ActorId]) -> Option<ActorId> {
+            self.log("choose");
+            None
+        }
+
+        fn unmatched_send(&mut self) -> Option<UnmatchedPolicy> {
+            self.log("unmatched_send");
+            None
+        }
+
+        fn unmatched_broadcast(&mut self) -> Option<UnmatchedPolicy> {
+            self.log("unmatched_broadcast");
+            None
+        }
+    }
+
+    /// A scope under `policy` whose manager is a [`Recorder`]. With
+    /// `nested`, a sub-space is visible in it, so deliveries lock the
+    /// scope's closure instead of its one shard.
+    fn recorded_scope(policy: UnmatchedPolicy, nested: bool) -> (Sharded, SpaceId, Recorder) {
+        let r = ShardedRegistry::new(ManagerPolicy {
+            unmatched_send: policy,
+            unmatched_broadcast: policy,
+            selection_seed: Some(7),
+            ..Default::default()
+        });
+        let s = r.create_space(None);
+        if nested {
+            let sub = r.create_space(None);
+            r.make_visible(sub.into(), vec![path("sub")], s, None, &mut |_, _, _| {})
+                .unwrap();
+        }
+        let rec = Recorder::default();
+        r.set_space_manager(s, Box::new(rec.clone()), None).unwrap();
+        (r, s, rec)
+    }
+
+    #[test]
+    fn manager_hooks_follow_the_delivery_kind() {
+        for nested in [false, true] {
+            let (r, s, rec) = recorded_scope(UnmatchedPolicy::Suspend, nested);
+            let (got, mut sink) = collector();
+            assert_eq!(
+                r.send(&pattern("w"), s, "a", &mut sink).unwrap(),
+                Disposition::Suspended
+            );
+            assert_eq!(rec.take(), ["unmatched_send"]);
+            assert_eq!(
+                r.broadcast(&pattern("b"), s, "b", &mut sink).unwrap(),
+                Disposition::Suspended
+            );
+            assert_eq!(rec.take(), ["unmatched_broadcast"]);
+            // A match wakes the suspended send: arbitration only.
+            let a = r.create_actor(s, None).unwrap();
+            r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+                .unwrap();
+            assert_eq!(got.borrow().as_slice(), &[(a, "a")]);
+            assert_eq!(rec.take(), ["choose"]);
+            // A matched send never asks the unmatched hook.
+            assert_eq!(
+                r.send(&pattern("w"), s, "c", &mut sink).unwrap(),
+                Disposition::Delivered(1)
+            );
+            assert_eq!(rec.take(), ["choose"]);
+            // A matched broadcast still asks it (it might persist), and
+            // never arbitrates.
+            assert_eq!(
+                r.broadcast(&pattern("w"), s, "d", &mut sink).unwrap(),
+                Disposition::Delivered(1)
+            );
+            assert_eq!(rec.take(), ["unmatched_broadcast"]);
+            assert_eq!(got.borrow().len(), 3, "nested: {nested}");
+        }
+    }
+
+    #[test]
+    fn persistent_policy_suspends_sends_and_registers_broadcasts() {
+        for nested in [false, true] {
+            let (r, s, rec) = recorded_scope(UnmatchedPolicy::Persistent, nested);
+            let (got, mut sink) = collector();
+            assert_eq!(
+                r.send(&pattern("w"), s, "a", &mut sink).unwrap(),
+                Disposition::Suspended
+            );
+            assert_eq!(rec.take(), ["unmatched_send"]);
+            assert_eq!(
+                r.broadcast(&pattern("w"), s, "b", &mut sink).unwrap(),
+                Disposition::Persistent(0)
+            );
+            assert_eq!(rec.take(), ["unmatched_broadcast"]);
+            let a = r.create_actor(s, None).unwrap();
+            r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+                .unwrap();
+            assert_eq!(got.borrow().as_slice(), &[(a, "a"), (a, "b")]);
+            assert_eq!(rec.take(), ["choose"]);
+            // A matched broadcast registers too.
+            assert_eq!(
+                r.broadcast(&pattern("w"), s, "c", &mut sink).unwrap(),
+                Disposition::Persistent(1)
+            );
+            assert_eq!(rec.take(), ["unmatched_broadcast"]);
+            let info = r.space_info(s).unwrap();
+            assert_eq!((info.pending_messages, info.persistent_broadcasts), (0, 2));
+        }
+    }
+
+    /// `(core.sends, core.broadcasts, core.space.sends, core.space.broadcasts,
+    /// core.matched)` on node 0.
+    fn submit_counters(r: &Sharded, s: SpaceId) -> [Option<u64>; 5] {
+        let snap = r.obs().snapshot();
+        [
+            snap.counter(names::CORE_SENDS, 0),
+            snap.counter(names::CORE_BROADCASTS, 0),
+            snap.counter_for_space(names::CORE_SPACE_SENDS, 0, s.0),
+            snap.counter_for_space(names::CORE_SPACE_BROADCASTS, 0, s.0),
+            snap.counter(names::CORE_MATCHED, 0),
+        ]
+    }
+
+    fn count_stage(r: &Sharded, trace: TraceId, submitted: bool) -> usize {
+        r.obs()
+            .tracer
+            .events_for(trace)
+            .iter()
+            .filter(|e| match e.stage {
+                Stage::Submitted { .. } => submitted,
+                Stage::Matched { .. } => !submitted,
+                _ => false,
+            })
+            .count()
+    }
+
+    #[test]
+    fn resend_continues_its_trace_without_counting_a_submit() {
+        for nested in [false, true] {
+            let mut r = reg();
+            r.set_obs(Obs::shared(ObsConfig::all()), 0);
+            let s = r.create_space(None);
+            let routes: std::rc::Rc<std::cell::RefCell<Vec<Route>>> = Default::default();
+            let log = routes.clone();
+            let mut sink = move |_: ActorId, _: &'static str, route: Option<&Route>| {
+                log.borrow_mut().extend(route.cloned());
+            };
+            if nested {
+                let sub = r.create_space(None);
+                r.make_visible(sub.into(), vec![path("sub")], s, None, &mut sink)
+                    .unwrap();
+            }
+            for _ in 0..2 {
+                let a = r.create_actor(s, None).unwrap();
+                r.make_visible(a.into(), vec![path("w")], s, None, &mut sink)
+                    .unwrap();
+            }
+            r.send(&pattern("w"), s, "x", &mut sink).unwrap();
+            r.broadcast(&pattern("w"), s, "y", &mut sink).unwrap();
+            let (send, bcast) = (routes.borrow()[0].clone(), routes.borrow()[1].clone());
+            assert_eq!(
+                (send.kind, bcast.kind),
+                (DeliveryKind::Send, DeliveryKind::Broadcast)
+            );
+            // One submit of each kind; matched counts 1 per send, n per broadcast.
+            let fresh = [Some(1), Some(1), Some(1), Some(1), Some(3)];
+            assert_eq!(submit_counters(&r, s), fresh);
+
+            assert_eq!(
+                r.resend(&send, "x", &mut sink).unwrap(),
+                Disposition::Delivered(1)
+            );
+            assert_eq!(
+                r.resend(&bcast, "y", &mut sink).unwrap(),
+                Disposition::Delivered(2)
+            );
+            assert_eq!(routes.borrow().len(), 6);
+            assert_eq!(routes.borrow()[3].trace, send.trace);
+            assert_eq!(routes.borrow()[4].trace, bcast.trace);
+            // Only `core.matched` moves; each trace keeps its one
+            // submission and records a second match.
+            let resent = [Some(1), Some(1), Some(1), Some(1), Some(6)];
+            assert_eq!(submit_counters(&r, s), resent, "nested: {nested}");
+            for trace in [send.trace, bcast.trace] {
+                assert!(trace.is_some());
+                assert_eq!(count_stage(&r, trace, true), 1);
+                assert_eq!(count_stage(&r, trace, false), 2);
+            }
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! the same model behind per-space shard locks, with a literal-pattern
 //! index and an NFA walk. This test replays random operation sequences —
 //! create/destroy, visibility churn (§5.7), sends and broadcasts with the
-//! §5.6 unmatched-message policies, garbage collection — against both,
+//! §5.6 unmatched-message policies, failover resends of routed sends and
+//! broadcasts, garbage collection — against both,
 //! built with the same deterministic selection seed, and asserts they
 //! agree on:
 //!
@@ -29,8 +30,8 @@ use std::collections::BTreeSet;
 use actorspace_atoms::{path, Path};
 use actorspace_core::{
     policy::{ManagerPolicy, UnmatchedPolicy},
-    ActorId, Disposition, GcReport, MemberId, Result, Route, ShardedRegistry, SpaceId, SpaceInfo,
-    ROOT_SPACE,
+    ActorId, DeliveryKind, Disposition, GcReport, MemberId, Result, Route, ShardedRegistry,
+    SpaceId, SpaceInfo, TraceId, ROOT_SPACE,
 };
 use actorspace_pattern::{pattern, Pattern};
 use proptest::prelude::*;
@@ -134,6 +135,13 @@ enum Op {
         scope: usize,
         msg: Msg,
     },
+    /// A failover resend of a message routed by `pat @ scope`.
+    Resend {
+        pat: usize,
+        scope: usize,
+        kind: DeliveryKind,
+        msg: Msg,
+    },
     CancelPersistent {
         space: usize,
     },
@@ -172,6 +180,18 @@ fn arb_op() -> impl Strategy<Value = Op> {
             scope,
             msg
         }),
+        (0usize..6, 0usize..8, any::<bool>(), 2000u64..3000).prop_map(
+            |(pat, scope, broadcast, msg)| Op::Resend {
+                pat,
+                scope,
+                kind: if broadcast {
+                    DeliveryKind::Broadcast
+                } else {
+                    DeliveryKind::Send
+                },
+                msg
+            }
+        ),
         (0usize..8).prop_map(|space| Op::CancelPersistent { space }),
         Just(Op::Collect),
     ]
@@ -208,6 +228,14 @@ trait Coordinator {
     ) -> Result<Disposition>;
     fn broadcast(
         &mut self,
+        pattern: &Pattern,
+        scope: SpaceId,
+        msg: Msg,
+        out: &mut Deliveries,
+    ) -> Result<Disposition>;
+    fn resend(
+        &mut self,
+        kind: DeliveryKind,
         pattern: &Pattern,
         scope: SpaceId,
         msg: Msg,
@@ -310,6 +338,16 @@ impl Coordinator for Spec<Msg> {
     ) -> Result<Disposition> {
         Spec::broadcast(self, pattern, scope, msg, out)
     }
+    fn resend(
+        &mut self,
+        kind: DeliveryKind,
+        pattern: &Pattern,
+        scope: SpaceId,
+        msg: Msg,
+        out: &mut Deliveries,
+    ) -> Result<Disposition> {
+        Spec::resend(self, kind, pattern, scope, msg, out)
+    }
     fn cancel_persistent(&mut self, space: SpaceId) -> Result<usize> {
         Spec::cancel_persistent(self, space)
     }
@@ -394,6 +432,23 @@ impl Coordinator for ShardedRegistry<Msg> {
     ) -> Result<Disposition> {
         let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
         ShardedRegistry::broadcast(self, pattern, scope, msg, &mut sink)
+    }
+    fn resend(
+        &mut self,
+        kind: DeliveryKind,
+        pattern: &Pattern,
+        scope: SpaceId,
+        msg: Msg,
+        out: &mut Deliveries,
+    ) -> Result<Disposition> {
+        let route = Route {
+            pattern: pattern.clone(),
+            space: scope,
+            kind,
+            trace: TraceId::NONE,
+        };
+        let mut sink = |a: ActorId, m: Msg, _: Option<&Route>| out.push((a, m));
+        ShardedRegistry::resend(self, &route, msg, &mut sink)
     }
     fn cancel_persistent(&mut self, space: SpaceId) -> Result<usize> {
         ShardedRegistry::cancel_persistent(self, space, None)
@@ -511,6 +566,15 @@ fn apply(
                 c.broadcast(&pat(p), idx(spaces, scope), msg, &mut out)
             )
         }
+        Op::Resend {
+            pat: p,
+            scope,
+            kind,
+            msg,
+        } => format!(
+            "{:?}",
+            c.resend(kind, &pat(p), idx(spaces, scope), msg, &mut out)
+        ),
         Op::CancelPersistent { space } => {
             format!("{:?}", c.cancel_persistent(idx(spaces, space)))
         }

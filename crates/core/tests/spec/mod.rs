@@ -17,7 +17,8 @@ use actorspace_atoms::Path;
 use actorspace_capability::{Guard, Rights};
 use actorspace_core::policy::{CyclePolicy, ManagerPolicy, Selector, UnmatchedPolicy};
 use actorspace_core::{
-    ActorId, Disposition, Error, GcReport, IdGen, MemberId, Result, SpaceId, SpaceInfo, ROOT_SPACE,
+    ActorId, DeliveryKind, Disposition, Error, GcReport, IdGen, MemberId, Result, SpaceId,
+    SpaceInfo, ROOT_SPACE,
 };
 use actorspace_pattern::Pattern;
 
@@ -260,6 +261,23 @@ impl<M: Clone + Ord> Spec<M> {
             return Ok(Disposition::Delivered(n));
         }
         self.unmatched(pattern, scope, msg, true, self.policy.unmatched_broadcast)
+    }
+
+    /// A failover resend of a routed message: to the model, a fresh send
+    /// or broadcast of the same pattern in the same scope. Only its trace
+    /// and the submit counters, which the spec does not model, differ.
+    pub fn resend(
+        &mut self,
+        kind: DeliveryKind,
+        pattern: &Pattern,
+        scope: SpaceId,
+        msg: M,
+        out: &mut Out<M>,
+    ) -> Result<Disposition> {
+        match kind {
+            DeliveryKind::Send => self.send(pattern, scope, msg, out),
+            DeliveryKind::Broadcast => self.broadcast(pattern, scope, msg, out),
+        }
     }
 
     /// What becomes of a message no visible actor matches (§5.6). A

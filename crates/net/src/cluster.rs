@@ -1257,11 +1257,7 @@ impl NodeUplink {
 }
 
 impl Transport for NodeUplink {
-    fn deliver(&self, to: ActorId, msg: Message) -> bool {
-        self.deliver_routed(to, msg, None)
-    }
-
-    fn deliver_routed(&self, to: ActorId, msg: Message, route: Option<&Route>) -> bool {
+    fn deliver(&self, to: ActorId, msg: Message, route: Option<&Route>) -> bool {
         let Some(target) = node_of_actor(to) else {
             return false;
         };

@@ -61,5 +61,5 @@ pub use group::{broadcast_sequencer, spawn_broadcast_sequencer};
 pub use hook::CoordinatorHook;
 pub use message::{Envelope, Message, Port};
 pub use system::{ActorHandle, ActorSystem, Config, Stats};
-pub use transport::{ChannelTransport, FnTransport, Transport};
+pub use transport::Transport;
 pub use value::Value;

@@ -148,7 +148,7 @@ impl Shared {
                 let trace = route.as_ref().map(|r| r.trace).unwrap_or(TraceId::NONE);
                 if let Payload::User(msg) = payload {
                     if let Some(up) = self.uplink.read().clone() {
-                        if up.deliver_routed(to, msg, route.as_ref()) {
+                        if up.deliver(to, msg, route.as_ref()) {
                             return true;
                         }
                     }

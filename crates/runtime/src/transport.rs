@@ -6,8 +6,7 @@
 //!
 //! Local delivery is built into the system (mailbox push). A [`Transport`]
 //! is the pluggable *uplink* used for actors the local node does not host:
-//! the simulated cluster installs one that forwards over inter-node links;
-//! tests install channel- or closure-backed ones.
+//! the simulated cluster installs one that forwards over inter-node links.
 
 use actorspace_core::{ActorId, Route};
 
@@ -16,75 +15,9 @@ use crate::message::Message;
 /// A message-passing mechanism for actors not hosted locally.
 pub trait Transport: Send + Sync {
     /// Attempts delivery; returns false if the destination is unknown to
-    /// this transport too (the message becomes a dead letter).
-    fn deliver(&self, to: ActorId, msg: Message) -> bool;
-
-    /// Like [`Transport::deliver`], but carrying the pattern resolution
-    /// that chose `to` when there was one. Transports that can re-route
-    /// around failed destinations (the cluster uplink) override this; the
-    /// default ignores the route.
-    fn deliver_routed(&self, to: ActorId, msg: Message, route: Option<&Route>) -> bool {
-        let _ = route;
-        self.deliver(to, msg)
-    }
-}
-
-/// Wraps a closure as a [`Transport`].
-pub struct FnTransport<F>(pub F);
-
-impl<F> Transport for FnTransport<F>
-where
-    F: Fn(ActorId, Message) -> bool + Send + Sync,
-{
-    fn deliver(&self, to: ActorId, msg: Message) -> bool {
-        (self.0)(to, msg)
-    }
-}
-
-/// A transport that forwards into an MPSC channel — useful in tests and as
-/// a bridge to polling consumers.
-pub struct ChannelTransport {
-    sender: std::sync::mpsc::SyncSender<(ActorId, Message)>,
-}
-
-impl ChannelTransport {
-    /// Creates the transport and its receiving end. `capacity` bounds the
-    /// in-flight queue.
-    pub fn new(
-        capacity: usize,
-    ) -> (
-        ChannelTransport,
-        std::sync::mpsc::Receiver<(ActorId, Message)>,
-    ) {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        (ChannelTransport { sender: tx }, rx)
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn deliver(&self, to: ActorId, msg: Message) -> bool {
-        self.sender.send((to, msg)).is_ok()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::value::Value;
-
-    #[test]
-    fn fn_transport_invokes_closure() {
-        let t = FnTransport(|to: ActorId, _msg: Message| to.0 == 7);
-        assert!(t.deliver(ActorId(7), Message::new(Value::Unit)));
-        assert!(!t.deliver(ActorId(8), Message::new(Value::Unit)));
-    }
-
-    #[test]
-    fn channel_transport_round_trips() {
-        let (t, rx) = ChannelTransport::new(4);
-        assert!(t.deliver(ActorId(3), Message::new(Value::int(9))));
-        let (to, msg) = rx.recv().unwrap();
-        assert_eq!(to, ActorId(3));
-        assert_eq!(msg.body, Value::int(9));
-    }
+    /// this transport too (the message becomes a dead letter). `route` is
+    /// the pattern resolution that chose `to`, when there was one; a
+    /// transport that can re-route around failed destinations (the cluster
+    /// uplink) uses it, others ignore it.
+    fn deliver(&self, to: ActorId, msg: Message, route: Option<&Route>) -> bool;
 }
