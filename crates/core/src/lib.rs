@@ -74,6 +74,6 @@ pub use error::{Error, Result};
 pub use gc::GcReport;
 pub use ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};
 pub use manager::{DefaultManager, Manager};
-pub use policy::{CyclePolicy, ManagerPolicy, SelectionPolicy, Selector, UnmatchedPolicy};
+pub use policy::{ManagerPolicy, SelectionPolicy, Selector, UnmatchedPolicy};
 pub use shard::{ActorRecord, ShardedRegistry};
 pub use space::{DeliveryKind, MatchFilter, Pending, PersistentBroadcast, Space, SpaceInfo};

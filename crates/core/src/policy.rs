@@ -12,28 +12,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::ids::ActorId;
 
-/// How to handle would-be cycles in the visibility relation (§5.7).
-///
-/// The paper's default is to reject them at `make_visible` time. "An
-/// alternate strategy is to tag messages and compare tags with those of
-/// previously sent messages" — this implementation's equivalent tags
-/// *resolution states*: the matcher tracks visited `(space, NFA-state)`
-/// pairs, so even a cyclic visibility graph yields a finite recipient set
-/// and the §5.7 infinite-message catastrophe cannot occur. "We believe no
-/// single strategy will provide a universally desirable solution. The
-/// problem is probably best addressed by customizing actorSpace managers"
-/// — hence a policy knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CyclePolicy {
-    /// Reject `make_visible` calls that would create a cycle (the paper's
-    /// chosen semantics; keeps the relation a DAG).
-    #[default]
-    Forbid,
-    /// Allow cyclic visibility; resolution stays finite via visited-state
-    /// deduplication (the paper's tagging alternative).
-    TolerateWithDedup,
-}
-
 /// What to do when a pattern matches no visible actor (§5.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UnmatchedPolicy {
@@ -159,8 +137,6 @@ pub struct ManagerPolicy {
     pub max_match_depth: usize,
     /// Deterministic RNG seed for selection (tests); `None` = OS entropy.
     pub selection_seed: Option<u64>,
-    /// Cycle handling for `make_visible` on space members (§5.7).
-    pub cycles: CyclePolicy,
 }
 
 impl Default for ManagerPolicy {
@@ -171,7 +147,6 @@ impl Default for ManagerPolicy {
             selection: SelectionPolicy::Random,
             max_match_depth: 64,
             selection_seed: None,
-            cycles: CyclePolicy::Forbid,
         }
     }
 }

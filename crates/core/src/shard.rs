@@ -52,8 +52,8 @@
 //! manager callback runs inside an [`enter_callback`] section. Built with
 //! `--features lockcheck`, the checker enforces meta-before-shard,
 //! ascending shard order, no callback re-entry, and (per §5.7) re-verifies
-//! the visibility DAG after every topology mutation until some space opts
-//! into tolerating cycles. Without the feature all of it compiles away.
+//! the visibility DAG after every topology mutation. Without the feature
+//! all of it compiles away.
 //!
 //! The coordinator is generic over the message payload `M` and performs
 //! deliveries through a caller-supplied [`Sink`], so the same type backs
@@ -80,7 +80,7 @@ use crate::gc::GcReport;
 use crate::ids::{ActorId, IdGen, MemberId, SpaceId, ROOT_SPACE};
 use crate::manager::Manager;
 use crate::matching;
-use crate::policy::{CyclePolicy, ManagerPolicy, UnmatchedPolicy};
+use crate::policy::{ManagerPolicy, UnmatchedPolicy};
 use crate::space::{DeliveryKind, Pending, PersistentBroadcast, Space, SpaceInfo};
 use crate::visibility;
 
@@ -177,10 +177,6 @@ struct Meta<M> {
     edges: HashMap<SpaceId, HashSet<SpaceId>>,
     /// Actors with live external handles — garbage-collection roots.
     roots: HashSet<ActorId>,
-    /// Set once a space joined a parent whose policy tolerates cycles
-    /// (§5.7's tagging alternative); the lockcheck DAG validator stands
-    /// down from then on.
-    cycles_tolerated: bool,
 }
 
 /// The shard mutexes an operation holds. A scope with no visible
@@ -345,7 +341,6 @@ impl<M: Clone> ShardedRegistry<M> {
                     containers: HashMap::new(),
                     edges: HashMap::new(),
                     roots: HashSet::new(),
-                    cycles_tolerated: false,
                 },
             ),
             default_policy,
@@ -402,11 +397,10 @@ impl<M: Clone> ShardedRegistry<M> {
     }
 
     /// §5.7 validator: under `--features lockcheck`, re-verifies the
-    /// visibility relation is still acyclic after a topology mutation,
-    /// unless a space opted into tolerating cycles. Compiles to nothing
-    /// otherwise (`ENABLED` is a constant false).
+    /// visibility relation is still acyclic after a topology mutation.
+    /// Compiles to nothing otherwise (`ENABLED` is a constant false).
     fn validate_dag_after_mutation(meta: &Meta<M>, op: &str) {
-        if !actorspace_lockcheck::ENABLED || meta.cycles_tolerated {
+        if !actorspace_lockcheck::ENABLED {
             return;
         }
         let nodes: HashSet<SpaceId> = meta.shards.keys().copied().collect();
@@ -597,23 +591,18 @@ impl<M: Clone> ShardedRegistry<M> {
         let _op = enter_coordinator("ShardedRegistry::make_visible");
         let mut meta = self.meta.write();
         member_guard(&meta, member)?.check(cap, Rights::VISIBILITY)?;
-        let sh = meta.shards.get(&space).ok_or(Error::NoSuchSpace(space))?;
-        // §5.7: reject cycles before inserting — unless the space's manager
-        // tolerates cycles (resolution then dedups visited states). The
-        // write-locked meta keeps the policy from changing once read.
-        let tolerate_cycle = match member {
-            MemberId::Space(child) => {
-                let forbid = sh.space.lock().policy().cycles == CyclePolicy::Forbid;
-                if forbid && visibility::would_cycle_edges(&meta.edges, child, space) {
-                    return Err(Error::WouldCycle {
-                        child,
-                        parent: space,
-                    });
-                }
-                !forbid
+        if !meta.shards.contains_key(&space) {
+            return Err(Error::NoSuchSpace(space));
+        }
+        // §5.7: reject cycles before inserting, from the meta edges alone.
+        if let MemberId::Space(child) = member {
+            if visibility::would_cycle_edges(&meta.edges, child, space) {
+                return Err(Error::WouldCycle {
+                    child,
+                    parent: space,
+                });
             }
-            MemberId::Actor(_) => false,
-        };
+        }
         let mut set = Self::wake_lock_set(&meta, space);
         if let MemberId::Space(child) = member {
             set.extend(visibility::reachable(&meta.edges, child));
@@ -636,7 +625,6 @@ impl<M: Clone> ShardedRegistry<M> {
         meta.containers.entry(member).or_default().insert(space);
         if let MemberId::Space(child) = member {
             meta.edges.entry(space).or_default().insert(child);
-            meta.cycles_tolerated |= tolerate_cycle;
         }
         Self::validate_dag_after_mutation(&meta, "make_visible");
         self.wake_locked(&meta, &mut guards, space, sink);
@@ -1091,17 +1079,14 @@ impl<M: Clone> ShardedRegistry<M> {
             .collect();
         affected.sort_unstable();
         for s in affected {
-            self.retry_space_locked(meta, guards, s, &mut *sink);
+            self.retry_space_locked(guards, s, &mut *sink);
         }
     }
 
-    fn retry_space_locked(
-        &self,
-        meta: &Meta<M>,
-        guards: &mut Locked<'_, M>,
-        space: SpaceId,
-        sink: Sink<'_, M>,
-    ) {
+    /// Re-resolves each waiting message in `space`. These are retries, not
+    /// fresh sends, so they go straight to the matcher and leave the
+    /// index hit/miss counters alone.
+    fn retry_space_locked(&self, guards: &mut Locked<'_, M>, space: SpaceId, sink: Sink<'_, M>) {
         // --- Suspended messages (§5.6) ---
         let pending = match guards.get_mut(space) {
             Some(sp) if !sp.pending().is_empty() => sp.take_pending(),
@@ -1109,9 +1094,8 @@ impl<M: Clone> ShardedRegistry<M> {
         };
         let mut still_waiting = Vec::new();
         for p in pending {
-            let candidates = self
-                .resolve_counted(meta, guards, &p.pattern, space)
-                .unwrap_or_default();
+            let candidates =
+                matching::resolve_actors(guards, &p.pattern, space).unwrap_or_default();
             if candidates.is_empty() {
                 still_waiting.push(p);
                 continue;
@@ -1145,9 +1129,8 @@ impl<M: Clone> ShardedRegistry<M> {
             _ => return,
         };
         for pb in &mut persistent {
-            let mut fresh = self
-                .resolve_counted(meta, guards, &pb.pattern, space)
-                .unwrap_or_default();
+            let mut fresh =
+                matching::resolve_actors(guards, &pb.pattern, space).unwrap_or_default();
             fresh.retain(|&c| pb.delivered.insert(c));
             if fresh.is_empty() {
                 continue;
@@ -1197,16 +1180,6 @@ impl<M: Clone> ShardedRegistry<M> {
         let meta = self.meta.read();
         let guards = lock_scope(&meta, space);
         matching::resolve_spaces(&guards, pattern, space)
-    }
-
-    /// Resolves a pattern-addressed space to exactly one space id (lowest
-    /// id when several match).
-    pub fn resolve_space_pattern(&self, pattern: &Pattern, scope: SpaceId) -> Result<SpaceId> {
-        let spaces = self.resolve_spaces(pattern, scope)?;
-        spaces.into_iter().next().ok_or_else(|| Error::NoMatch {
-            pattern: pattern.text().to_owned(),
-            space: scope,
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1886,6 +1859,40 @@ mod tests {
         assert_eq!(
             snap.counter_for_space(names::CORE_INDEX_HITS, 0, s.0),
             Some(3)
+        );
+    }
+
+    #[test]
+    fn wake_sweeps_do_not_count_index_lookups() {
+        let r = reg();
+        let s = r.create_space(None);
+        let (_, mut sink) = collector();
+        assert_eq!(
+            r.send(&pattern("w"), s, "x", &mut sink).unwrap(),
+            Disposition::Suspended
+        );
+        // Five changes that cannot match the waiting literal send: each
+        // sweeps it again, and none of the sweeps is an index lookup.
+        for i in 0..5 {
+            let a = r.create_actor(s, None).unwrap();
+            r.make_visible(
+                a.into(),
+                vec![path(&format!("other{i}"))],
+                s,
+                None,
+                &mut sink,
+            )
+            .unwrap();
+        }
+        assert_eq!(r.space_info(s).unwrap().pending_messages, 1);
+        let snap = r.obs().snapshot();
+        assert_eq!(
+            snap.counter_for_space(names::CORE_INDEX_MISSES, 0, s.0),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter_for_space(names::CORE_INDEX_HITS, 0, s.0),
+            Some(0)
         );
     }
 

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use actorspace_atoms::Path;
 use actorspace_capability::{Guard, Rights};
-use actorspace_core::policy::{CyclePolicy, ManagerPolicy, Selector, UnmatchedPolicy};
+use actorspace_core::policy::{ManagerPolicy, Selector, UnmatchedPolicy};
 use actorspace_core::{
     ActorId, DeliveryKind, Disposition, Error, GcReport, IdGen, MemberId, Result, SpaceId,
     SpaceInfo, ROOT_SPACE,
@@ -154,7 +154,7 @@ impl<M: Clone + Ord> Spec<M> {
             return Err(Error::NoSuchSpace(space));
         }
         if let MemberId::Space(child) = member {
-            if self.policy.cycles == CyclePolicy::Forbid && self.reaches(child, space) {
+            if self.reaches(child, space) {
                 return Err(Error::WouldCycle {
                     child,
                     parent: space,

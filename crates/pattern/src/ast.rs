@@ -7,8 +7,7 @@ use actorspace_atoms::{Atom, Path};
 /// A pattern expression over the atom alphabet.
 ///
 /// The atom alphabet is *open*: new atoms may be interned at any time, so a
-/// negated class `[^a b]` matches infinitely many atoms. All analyses in
-/// this crate (emptiness, intersection) account for that.
+/// negated class `[^a b]` matches infinitely many atoms.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Ast {
     /// Matches the empty path; the identity of sequencing.
@@ -78,24 +77,6 @@ impl Ast {
         }
     }
 
-    /// The exact-path pattern matching precisely `path` and nothing else.
-    pub fn literal(path: &Path) -> Ast {
-        Ast::seq(path.iter().map(Ast::Atom).collect())
-    }
-
-    /// True if this pattern is *star-free and class-free*: a finite union of
-    /// literal paths (possibly with `*` wildcards). Lattice subsumption is
-    /// exact on this fragment.
-    pub fn is_finite_union(&self) -> bool {
-        match self {
-            Ast::Empty | Ast::Atom(_) | Ast::AnyAtom => true,
-            Ast::Class { .. } => true,
-            Ast::Seq(ps) | Ast::Alt(ps) => ps.iter().all(Ast::is_finite_union),
-            Ast::Opt(p) => p.is_finite_union(),
-            Ast::Star(_) | Ast::Plus(_) => false,
-        }
-    }
-
     /// If this pattern is a *literal* — a plain sequence of atoms with no
     /// wildcards, classes, alternation, or repetition — returns the exact
     /// path it matches. Literal patterns admit index-based resolution.
@@ -113,15 +94,6 @@ impl Ast {
         }
         let mut atoms = Vec::new();
         collect(self, &mut atoms).then(|| Path::from_atoms(atoms))
-    }
-
-    /// Number of AST nodes — a size measure used by benches.
-    pub fn size(&self) -> usize {
-        match self {
-            Ast::Empty | Ast::Atom(_) | Ast::AnyAtom | Ast::Class { .. } => 1,
-            Ast::Seq(ps) | Ast::Alt(ps) => 1 + ps.iter().map(Ast::size).sum::<usize>(),
-            Ast::Star(p) | Ast::Plus(p) | Ast::Opt(p) => 1 + p.size(),
-        }
     }
 }
 
@@ -209,6 +181,11 @@ mod tests {
     use super::*;
     use actorspace_atoms::{atom, path};
 
+    /// The sequence of `p`'s atoms: the pattern matching exactly `p`.
+    fn literal(p: &str) -> Ast {
+        Ast::seq(path(p).iter().map(Ast::Atom).collect())
+    }
+
     #[test]
     fn seq_flattens_and_drops_empty() {
         let s = Ast::seq(vec![
@@ -243,9 +220,8 @@ mod tests {
 
     #[test]
     fn literal_of_path() {
-        let l = Ast::literal(&path("a/b"));
-        assert_eq!(l.to_string(), "a/b");
-        assert_eq!(Ast::literal(&path("")), Ast::Empty);
+        assert_eq!(literal("a/b").to_string(), "a/b");
+        assert_eq!(literal(""), Ast::Empty);
     }
 
     #[test]
@@ -255,23 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn finite_union_classification() {
-        assert!(Ast::literal(&path("a/b")).is_finite_union());
-        assert!(Ast::alt(vec![Ast::Atom(atom("a")), Ast::AnyAtom]).is_finite_union());
-        assert!(!Ast::Star(Box::new(Ast::Atom(atom("a")))).is_finite_union());
-        assert!(!Ast::Plus(Box::new(Ast::AnyAtom)).is_finite_union());
-    }
-
-    #[test]
-    fn size_counts_nodes() {
-        assert_eq!(Ast::Atom(atom("a")).size(), 1);
-        assert_eq!(Ast::literal(&path("a/b/c")).size(), 4);
-    }
-
-    #[test]
     fn as_literal_round_trips_literal_paths() {
         for p in ["a", "a/b/c", ""] {
-            let ast = Ast::literal(&path(p));
+            let ast = literal(p);
             assert_eq!(ast.as_literal(), Some(path(p)), "{p:?}");
         }
     }

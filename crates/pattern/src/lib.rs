@@ -40,15 +40,16 @@
 //! assert!(!p.matches(&path("srv/sqrt/fast")));
 //! ```
 //!
-//! The [`lattice`] module implements the description-lattice view of
-//! attributes from paper §5 (generalization/specialization by conjunction
-//! and disjunction) and decision procedures on whole patterns
-//! (emptiness-of-intersection, subsumption on star-free patterns).
+//! [`Pattern::parse`] is the only way to build an automaton, and it bounds
+//! the automaton's size ([`nfa::MAX_PARSED_CLOSURES`]), so text from
+//! outside the program cannot make compiling unbounded. Paper §5's
+//! description lattice (generalization and specialization of attributes)
+//! shows in resolution: a more general pattern reaches every actor a more
+//! specific one reaches.
 
 #![deny(unsafe_code)]
 
 pub mod ast;
-pub mod lattice;
 pub mod matcher;
 pub mod nfa;
 pub mod parse;
@@ -65,8 +66,8 @@ pub use parse::ParseError;
 
 /// A compiled destination pattern: parse once, match many times.
 ///
-/// `Pattern` owns both the AST (for display, analysis, and lattice
-/// operations) and the compiled NFA (for matching).
+/// `Pattern` owns both the AST (for display and literal detection) and the
+/// compiled NFA (for matching).
 #[derive(Clone)]
 pub struct Pattern {
     ast: Ast,
@@ -80,7 +81,7 @@ impl Pattern {
     /// store more than [`nfa::MAX_PARSED_CLOSURES`] closure entries.
     pub fn parse(text: &str) -> Result<Pattern, ParseError> {
         let ast = parse::parse(text)?;
-        let nfa = nfa::compile(&ast, nfa::MAX_PARSED_CLOSURES).ok_or_else(|| ParseError {
+        let nfa = nfa::compile(&ast).ok_or_else(|| ParseError {
             offset: 0,
             message: format!(
                 "pattern too large: its automaton needs more than {} closure entries",
@@ -92,16 +93,6 @@ impl Pattern {
             nfa,
             text: text.to_owned(),
         })
-    }
-
-    /// Compiles a pattern from an already-built AST.
-    pub fn from_ast(ast: Ast) -> Pattern {
-        let nfa = nfa::compile(&ast, usize::MAX).expect("NFA closures exceed u32 offsets");
-        Pattern {
-            text: ast.to_string(),
-            ast,
-            nfa,
-        }
     }
 
     /// The pattern matching *any* attribute — the paper's `*` in
@@ -132,7 +123,7 @@ impl Pattern {
         &self.ast
     }
 
-    /// The original (or regenerated) pattern text.
+    /// The original pattern text.
     pub fn text(&self) -> &str {
         &self.text
     }
@@ -142,17 +133,6 @@ impl Pattern {
     /// engine uses this for index-based fast paths.
     pub fn as_literal(&self) -> Option<Path> {
         self.ast.as_literal()
-    }
-
-    /// True if no path whatsoever can match this pattern.
-    pub fn is_empty_language(&self) -> bool {
-        !matcher::is_satisfiable(&self.nfa)
-    }
-
-    /// True if some path matches both `self` and `other`. Decidable for all
-    /// patterns (product-NFA emptiness over an open alphabet).
-    pub fn may_overlap(&self, other: &Pattern) -> bool {
-        matcher::intersects(&self.nfa, &other.nfa)
     }
 }
 

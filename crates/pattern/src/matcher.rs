@@ -1,13 +1,9 @@
-//! NFA simulation: whole-path matching, incremental state sets for walking
-//! nested actorSpaces, and the decision procedures (satisfiability and
-//! intersection emptiness) used by the description lattice and by
-//! actorSpace managers checking pattern overlap.
-
-use std::collections::VecDeque;
+//! NFA simulation: whole-path matching, and incremental state sets for
+//! walking nested actorSpaces.
 
 use actorspace_atoms::Atom;
 
-use crate::nfa::{Nfa, StateId, Trans};
+use crate::nfa::{Nfa, StateId};
 
 /// A set of NFA states, as a bitset: the working representation of an
 /// in-progress match. It holds the live states that can still consume an
@@ -54,14 +50,6 @@ impl StateSet {
         }
     }
 
-    fn insert(&mut self, s: StateId) -> bool {
-        let (w, b) = (s as usize / 64, s as usize % 64);
-        let word = &mut self.words_mut()[w];
-        let had = *word & (1 << b) != 0;
-        *word |= 1 << b;
-        !had
-    }
-
     fn contains(&self, s: StateId) -> bool {
         let (w, b) = (s as usize / 64, s as usize % 64);
         self.words()[w] & (1 << b) != 0
@@ -80,7 +68,7 @@ impl StateSet {
     }
 
     /// Iterates over live state ids in ascending order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
+    fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
         self.words().iter().enumerate().flat_map(|(w, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
@@ -93,25 +81,20 @@ impl StateSet {
         })
     }
 
-    /// The epsilon-closed set reached by taking every transition from a
-    /// live state whose label satisfies `take`.
-    pub(crate) fn step(&self, nfa: &Nfa, take: impl Fn(&Trans) -> bool) -> StateSet {
+    /// Consumes one atom, returning the successor state set
+    /// (epsilon-closed): every transition from a live state whose label
+    /// accepts `atom` is taken.
+    pub fn advance(&self, nfa: &Nfa, atom: Atom) -> StateSet {
         let mut next = StateSet::empty(nfa.len());
         let out = next.words_mut();
         for s in self.iter() {
             for (label, to) in &nfa.states()[s as usize].trans {
-                if take(label) {
+                if label.accepts(atom) {
                     or_closure(out, nfa, *to);
                 }
             }
         }
         next
-    }
-
-    /// Consumes one atom, returning the successor state set
-    /// (epsilon-closed).
-    pub fn advance(&self, nfa: &Nfa, atom: Atom) -> StateSet {
-        self.step(nfa, |label| label.accepts(atom))
     }
 }
 
@@ -141,85 +124,6 @@ pub fn matches(nfa: &Nfa, path: &[Atom]) -> bool {
     set.is_accepting(nfa)
 }
 
-/// True if the NFA accepts at least one path. Because the alphabet is open,
-/// every transition except `In([])` is traversable, so this is plain
-/// reachability.
-pub fn is_satisfiable(nfa: &Nfa) -> bool {
-    let mut seen = StateSet::empty(nfa.len());
-    seen.insert(nfa.start());
-    let mut queue = VecDeque::from([nfa.start()]);
-    while let Some(s) = queue.pop_front() {
-        if s == nfa.accept() {
-            return true;
-        }
-        let st = &nfa.states()[s as usize];
-        for &to in &st.eps {
-            if seen.insert(to) {
-                queue.push_back(to);
-            }
-        }
-        for (label, to) in &st.trans {
-            if label.satisfiable() && seen.insert(*to) {
-                queue.push_back(*to);
-            }
-        }
-    }
-    false
-}
-
-/// Can two transition labels consume the *same* atom? Exact for an open
-/// (infinite) alphabet: `NotIn × NotIn` is always compatible because some
-/// atom outside both finite sets always exists.
-fn compatible(a: &Trans, b: &Trans) -> bool {
-    use Trans::*;
-    match (a, b) {
-        (Atom(x), other) | (other, Atom(x)) => other.accepts(*x),
-        (Any, other) | (other, Any) => other.satisfiable(),
-        (In(s), In(t)) => s.iter().any(|x| t.binary_search(x).is_ok()),
-        (In(s), NotIn(t)) | (NotIn(t), In(s)) => s.iter().any(|x| t.binary_search(x).is_err()),
-        (NotIn(_), NotIn(_)) => true,
-    }
-}
-
-/// True if some path is accepted by *both* NFAs: breadth-first search of the
-/// product automaton. Exact (not conservative) over the open atom alphabet.
-pub fn intersects(a: &Nfa, b: &Nfa) -> bool {
-    let idx = |x: StateId, y: StateId| x as usize * b.len() + y as usize;
-    let mut seen = vec![false; a.len() * b.len()];
-    let mut queue = VecDeque::new();
-
-    let push =
-        |x: StateId, y: StateId, seen: &mut Vec<bool>, queue: &mut VecDeque<(StateId, StateId)>| {
-            if !seen[idx(x, y)] {
-                seen[idx(x, y)] = true;
-                queue.push_back((x, y));
-            }
-        };
-
-    push(a.start(), b.start(), &mut seen, &mut queue);
-    while let Some((x, y)) = queue.pop_front() {
-        if x == a.accept() && y == b.accept() {
-            return true;
-        }
-        // Epsilon moves on either side.
-        for &to in &a.states()[x as usize].eps {
-            push(to, y, &mut seen, &mut queue);
-        }
-        for &to in &b.states()[y as usize].eps {
-            push(x, to, &mut seen, &mut queue);
-        }
-        // Joint consuming moves.
-        for (la, ta) in &a.states()[x as usize].trans {
-            for (lb, tb) in &b.states()[y as usize].trans {
-                if compatible(la, lb) {
-                    push(*ta, *tb, &mut seen, &mut queue);
-                }
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +132,7 @@ mod tests {
     use actorspace_atoms::path;
 
     fn nfa(s: &str) -> Nfa {
-        compile(&parse(s).unwrap(), usize::MAX).unwrap()
+        compile(&parse(s).unwrap()).unwrap()
     }
 
     fn m(pat: &str, p: &str) -> bool {
@@ -332,46 +236,6 @@ mod tests {
         assert!(s.is_dead());
         // Advancing a dead set stays dead.
         assert!(s.advance(&n, atom("a")).is_dead());
-    }
-
-    #[test]
-    fn satisfiability() {
-        assert!(is_satisfiable(&nfa("a/b")));
-        assert!(is_satisfiable(&nfa("**")));
-        assert!(is_satisfiable(&nfa("[^a]")));
-        assert!(is_satisfiable(&nfa("")));
-    }
-
-    #[test]
-    fn intersection_basics() {
-        assert!(intersects(&nfa("a/b"), &nfa("a/b")));
-        assert!(!intersects(&nfa("a/b"), &nfa("a/c")));
-        assert!(intersects(&nfa("a/*"), &nfa("*/b")));
-        assert!(!intersects(&nfa("a"), &nfa("a/b")));
-        assert!(intersects(&nfa("**"), &nfa("x/y/z")));
-    }
-
-    #[test]
-    fn intersection_with_negated_classes_uses_open_alphabet() {
-        // [^a] and [^b] overlap: any third atom works.
-        assert!(intersects(&nfa("[^a]"), &nfa("[^b]")));
-        // [a] and [^a] cannot overlap.
-        assert!(!intersects(&nfa("[a]"), &nfa("[^a]")));
-        // [a b] and [^a] overlap on b.
-        assert!(intersects(&nfa("[a b]"), &nfa("[^a]")));
-        // [a] and [^a b] cannot.
-        assert!(!intersects(&nfa("[a]"), &nfa("[^a b]")));
-    }
-
-    #[test]
-    fn intersection_with_stars() {
-        assert!(intersects(&nfa("a*"), &nfa("a/a")));
-        assert!(!intersects(&nfa("a*"), &nfa("b")));
-        assert!(intersects(&nfa("(a/b)*"), &nfa("**/b")));
-        // Both match the empty path.
-        assert!(intersects(&nfa("a*"), &nfa("b*")));
-        // Nonempty on both sides impossible: a+ vs b+ share nothing.
-        assert!(!intersects(&nfa("a+"), &nfa("b+")));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! States and transitions are plain vectors; atom identity is the interned
 //! id, so a transition test is an integer comparison (or a small sorted-set
 //! membership test for classes). The alphabet is *open* — new atoms may be
-//! interned at any time — which matters for negated classes and for the
-//! satisfiability/intersection analyses in [`crate::matcher`].
+//! interned at any time — so a negated class matches infinitely many atoms.
 
 use actorspace_atoms::Atom;
 
@@ -36,16 +35,6 @@ impl Trans {
             Trans::NotIn(set) => set.binary_search(&a).is_err(),
         }
     }
-
-    /// Whether *some* atom is accepted. Only `In([])` would be empty, and
-    /// the parser rejects empty classes; `NotIn` is always satisfiable
-    /// because the alphabet is open.
-    pub fn satisfiable(&self) -> bool {
-        match self {
-            Trans::In(set) => !set.is_empty(),
-            _ => true,
-        }
-    }
 }
 
 /// One NFA state: labelled transitions plus epsilon moves.
@@ -75,17 +64,9 @@ pub struct Nfa {
 }
 
 impl Nfa {
-    /// Assembles an NFA from raw parts. Used by the lattice constructions
-    /// (product, determinization, complement), which synthesize automata
-    /// that have no surface-syntax AST.
-    pub fn from_parts(states: Vec<State>, start: StateId, accept: StateId) -> Nfa {
-        Nfa::within(states, start, accept, usize::MAX).expect("NFA closures exceed u32 offsets")
-    }
-
-    /// [`Nfa::from_parts`], or `None` once the closures would hold more
-    /// than `limit` entries.
-    fn within(states: Vec<State>, start: StateId, accept: StateId, limit: usize) -> Option<Nfa> {
-        let limit = limit.min(u32::MAX as usize);
+    /// Precomputes the closures of a built automaton, or `None` once they
+    /// would hold more than [`MAX_PARSED_CLOSURES`] entries.
+    fn within(states: Vec<State>, start: StateId, accept: StateId) -> Option<Nfa> {
         debug_assert!((start as usize) < states.len());
         debug_assert!((accept as usize) < states.len());
         let mut entered = vec![false; states.len()];
@@ -112,7 +93,7 @@ impl Nfa {
                     stack.extend_from_slice(&states[t as usize].eps);
                 }
             }
-            if closures.len() > limit {
+            if closures.len() > MAX_PARSED_CLOSURES {
                 return None;
             }
             closure_at.push(closures.len() as u32);
@@ -274,19 +255,19 @@ impl Builder {
     }
 }
 
-/// The most ε-closure entries [`Pattern::parse`](crate::Pattern::parse)
-/// lets one NFA store. A sequence of k optional parts stores about k²/2
+/// The most ε-closure entries one NFA may store; [`compile`], and so
+/// [`Pattern::parse`](crate::Pattern::parse), rejects more. A sequence of k optional parts stores about k²/2
 /// entries, so text from outside the program (an interpreted script, a
 /// shell line) could otherwise make compiling quadratic in its length.
 /// This bound is 4 MiB of closures; about 1,400 `(*)?` parts reach it.
 pub const MAX_PARSED_CLOSURES: usize = 1 << 20;
 
 /// Compiles an AST into its Thompson NFA, or `None` if its closures would
-/// hold more than `limit` entries.
-pub fn compile(ast: &Ast, limit: usize) -> Option<Nfa> {
+/// hold more than [`MAX_PARSED_CLOSURES`] entries.
+pub fn compile(ast: &Ast) -> Option<Nfa> {
     let mut b = Builder { states: Vec::new() };
     let (start, accept) = b.fragment(ast);
-    Nfa::within(b.states, start, accept, limit)
+    Nfa::within(b.states, start, accept)
 }
 
 #[cfg(test)]
@@ -295,7 +276,7 @@ mod tests {
     use crate::parse::parse;
 
     fn nfa(s: &str) -> Nfa {
-        compile(&parse(s).unwrap(), usize::MAX).unwrap()
+        compile(&parse(s).unwrap()).unwrap()
     }
 
     #[test]

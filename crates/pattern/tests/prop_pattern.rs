@@ -1,12 +1,12 @@
 //! Property-based tests for the pattern engine.
 //!
 //! The key oracle is a naive backtracking matcher over the AST, written
-//! independently of the NFA pipeline. Random ASTs and random paths over a
-//! small alphabet are checked for agreement, and the lattice constructions
-//! (determinize / complement / meet / join / subsumes) are validated
-//! against their logical definitions on sampled paths. Incremental state
-//! sets are checked against a naive state-set simulation, on NFAs small
-//! enough to keep their sets inline and on NFAs of more than 64 states.
+//! independently of the NFA pipeline. Random ASTs are printed and parsed
+//! back, so every property also exercises the parser, and the parsed
+//! patterns are checked against the oracle on random paths over a small
+//! alphabet. Incremental state sets are checked against a naive state-set
+//! simulation, on NFAs small enough to keep their sets inline and on NFAs
+//! of more than 64 states.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 
 use actorspace_atoms::{atom, Atom, Path};
 use actorspace_pattern::nfa::{Nfa, StateId};
-use actorspace_pattern::{ast::Ast, lattice, matcher, Pattern, StateSet};
+use actorspace_pattern::{ast::Ast, Pattern, StateSet};
 use proptest::prelude::*;
 
 /// Naive backtracking match: does `ast` accept `path[i..]` exactly?
@@ -185,6 +185,13 @@ fn naive_states(nfa: &Nfa, path: &[Atom]) -> BTreeSet<StateId> {
     set
 }
 
+/// The pattern `ast` prints as, parsed back; fails the test if it does not
+/// parse.
+fn parsed(ast: &Ast) -> Pattern {
+    Pattern::parse(&ast.to_string())
+        .unwrap_or_else(|e| panic!("printed pattern {ast} must parse: {e}"))
+}
+
 fn advance_all(pat: &Pattern, path: &[Atom]) -> StateSet {
     path.iter()
         .fold(pat.start(), |set, &a| set.advance(pat.nfa(), a))
@@ -202,97 +209,25 @@ proptest! {
     /// The NFA pipeline agrees with the backtracking oracle.
     #[test]
     fn nfa_matches_oracle(ast in arb_ast(), p in arb_path()) {
-        let pat = Pattern::from_ast(ast.clone());
+        let pat = parsed(&ast);
         let path = Path::from_atoms(p.clone());
         prop_assert_eq!(pat.matches(&path), oracle(&ast, &p));
     }
 
-    /// Printing a pattern and re-parsing it preserves the language.
+    /// Printing a parsed pattern's AST and re-parsing it preserves the
+    /// language.
     #[test]
     fn display_parse_round_trip_preserves_language(ast in arb_ast(), p in arb_path()) {
-        let pat = Pattern::from_ast(ast);
-        let reparsed = Pattern::parse(pat.text()).expect("printed pattern must parse");
+        let pat = parsed(&ast);
+        let reparsed = parsed(pat.ast());
         let path = Path::from_atoms(p);
         prop_assert_eq!(pat.matches(&path), reparsed.matches(&path));
-    }
-
-    /// Determinization preserves the language.
-    #[test]
-    fn determinize_preserves_language(ast in arb_ast(), p in arb_path()) {
-        let pat = Pattern::from_ast(ast);
-        let dfa = lattice::determinize(pat.nfa());
-        let path = Path::from_atoms(p.clone());
-        prop_assert_eq!(matcher::matches(&dfa, &p), pat.matches(&path));
-    }
-
-    /// The complement automaton accepts exactly the rejected paths.
-    #[test]
-    fn complement_is_negation(ast in arb_ast(), p in arb_path()) {
-        let pat = Pattern::from_ast(ast);
-        let comp = lattice::complement(pat.nfa());
-        let path = Path::from_atoms(p.clone());
-        prop_assert_eq!(matcher::matches(&comp, &p), !pat.matches(&path));
-    }
-
-    /// meet = logical AND, join = logical OR on sampled paths.
-    #[test]
-    fn meet_and_join_are_and_or(a in arb_ast(), b in arb_ast(), p in arb_path()) {
-        let pa = Pattern::from_ast(a);
-        let pb = Pattern::from_ast(b);
-        let path = Path::from_atoms(p.clone());
-        let m = lattice::meet(pa.nfa(), pb.nfa());
-        prop_assert_eq!(
-            matcher::matches(&m, &p),
-            pa.matches(&path) && pb.matches(&path)
-        );
-        let j = lattice::join(&pa, &pb);
-        prop_assert_eq!(
-            j.matches(&path),
-            pa.matches(&path) || pb.matches(&path)
-        );
-    }
-
-    /// Subsumption is sound: if `general` subsumes `specific`, every path
-    /// matched by `specific` is matched by `general`.
-    #[test]
-    fn subsumption_soundness(a in arb_ast(), b in arb_ast(), p in arb_path()) {
-        let pa = Pattern::from_ast(a);
-        let pb = Pattern::from_ast(b);
-        if lattice::subsumes(&pa, &pb) {
-            let path = Path::from_atoms(p.clone());
-            if pb.matches(&path) {
-                prop_assert!(pa.matches(&path),
-                    "{} subsumes {} but misses {}", pa, pb, path);
-            }
-        }
-    }
-
-    /// Both patterns always subsume their meet and are subsumed by their join.
-    #[test]
-    fn lattice_order_laws(a in arb_ast(), b in arb_ast()) {
-        let pa = Pattern::from_ast(a);
-        let pb = Pattern::from_ast(b);
-        let j = lattice::join(&pa, &pb);
-        prop_assert!(lattice::subsumes(&j, &pa));
-        prop_assert!(lattice::subsumes(&j, &pb));
-    }
-
-    /// `may_overlap` agrees with a sampled witness: any path matching both
-    /// implies overlap is reported.
-    #[test]
-    fn overlap_soundness(a in arb_ast(), b in arb_ast(), p in arb_path()) {
-        let pa = Pattern::from_ast(a);
-        let pb = Pattern::from_ast(b);
-        let path = Path::from_atoms(p.clone());
-        if pa.matches(&path) && pb.matches(&path) {
-            prop_assert!(pa.may_overlap(&pb));
-        }
     }
 
     /// Patterns whose NFAs exceed 64 states agree with the oracle too.
     #[test]
     fn large_nfa_matches_oracle(ast in arb_large_ast(), p in arb_path()) {
-        let pat = Pattern::from_ast(ast.clone());
+        let pat = parsed(&ast);
         prop_assert!(pat.nfa().len() > 64, "only {} states", pat.nfa().len());
         prop_assert_eq!(pat.matches(&Path::from_atoms(p.clone())), oracle(&ast, &p));
     }
@@ -306,7 +241,7 @@ proptest! {
         p in proptest::collection::vec(arb_atom(), 0..8),
         cuts in proptest::collection::vec(0usize..8, 0..4),
     ) {
-        let pat = Pattern::from_ast(ast.clone());
+        let pat = parsed(&ast);
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(p.len())).collect();
         cuts.push(p.len());
         cuts.sort_unstable();
@@ -340,7 +275,7 @@ proptest! {
         p in proptest::collection::vec(arb_atom(), 0..4),
         q in proptest::collection::vec(arb_atom(), 0..4),
     ) {
-        let pat = Pattern::from_ast(ast);
+        let pat = parsed(&ast);
         let (sp, sq) = (advance_all(&pat, &p), advance_all(&pat, &q));
         let same = naive_states(pat.nfa(), &p) == naive_states(pat.nfa(), &q);
         prop_assert_eq!(sp == sq, same);
@@ -348,35 +283,5 @@ proptest! {
             prop_assert_eq!(hash_of(&sp), hash_of(&sq));
         }
         prop_assert_eq!(sp.is_accepting(pat.nfa()), pat.matches(&Path::from_atoms(p)));
-    }
-
-    /// Emptiness: a pattern that matched some sampled path is satisfiable.
-    #[test]
-    fn satisfiability_soundness(ast in arb_ast(), p in arb_path()) {
-        let pat = Pattern::from_ast(ast);
-        let path = Path::from_atoms(p);
-        if pat.matches(&path) {
-            prop_assert!(!pat.is_empty_language());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The meet of two patterns of at least 100 states each builds and
-    /// accepts exactly the paths both patterns match.
-    #[test]
-    fn meet_of_large_patterns_agrees_with_oracle(
-        a in arb_large_alt(),
-        b in arb_large_alt(),
-        paths in proptest::collection::vec(arb_path(), 16..17),
-    ) {
-        let (pa, pb) = (Pattern::from_ast(a.clone()), Pattern::from_ast(b.clone()));
-        prop_assert!(pa.nfa().len() >= 100 && pb.nfa().len() >= 100);
-        let m = lattice::meet(pa.nfa(), pb.nfa());
-        for p in paths {
-            prop_assert_eq!(matcher::matches(&m, &p), oracle(&a, &p) && oracle(&b, &p));
-        }
     }
 }

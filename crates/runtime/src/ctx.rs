@@ -164,23 +164,6 @@ impl<'a> Ctx<'a> {
         self.broadcast(pattern, space, body)
     }
 
-    /// `send` where the *space itself* is chosen by a pattern (§5.3: "the
-    /// actorSpace specification … may itself be pattern based"), resolved
-    /// in this actor's host space.
-    pub fn send_at(
-        &mut self,
-        pattern: &Pattern,
-        space_pattern: &Pattern,
-        body: Value,
-    ) -> Result<Disposition> {
-        let host = self.host_space();
-        let space = self
-            .shared
-            .registry
-            .resolve_space_pattern(space_pattern, host)?;
-        self.send_pattern(pattern, space, body)
-    }
-
     /// `create_actorSpace(capability)` (§5.2).
     pub fn create_space(&mut self, cap: Option<&Capability>) -> SpaceId {
         self.shared.op_create_space(cap)

@@ -46,7 +46,6 @@
 pub mod actor;
 pub mod codec;
 pub mod ctx;
-pub mod group;
 pub mod hook;
 pub mod mailbox;
 pub mod message;
@@ -57,7 +56,6 @@ pub mod value;
 
 pub use actor::{from_fn, Behavior, BoxBehavior};
 pub use ctx::Ctx;
-pub use group::{broadcast_sequencer, spawn_broadcast_sequencer};
 pub use hook::CoordinatorHook;
 pub use message::{Envelope, Message, Port};
 pub use system::{ActorHandle, ActorSystem, Config, Stats};

@@ -755,18 +755,6 @@ impl ActorSystem {
         self.shared.with_registry(f)
     }
 
-    /// Spawns an actor without handing out a rooted handle — the cluster
-    /// layer uses this for actors whose creation event came over the bus.
-    pub fn spawn_unrooted(
-        &self,
-        space: SpaceId,
-        behavior: impl Behavior,
-        cap: Option<&Capability>,
-    ) -> Result<ActorId> {
-        self.shared
-            .spawn_cell(space, cap, Box::new(behavior), false)
-    }
-
     /// Stops all workers. Queued messages may be dropped. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);

@@ -178,6 +178,32 @@ fn broadcast_reaches_every_visible_actor() {
     sys.shutdown();
 }
 
+/// §5.3 promises no order among broadcasts, but every broadcast still
+/// reaches every matching member, exactly once.
+#[test]
+fn unsequenced_broadcasts_keep_integrity() {
+    let sys = system();
+    let space = sys.create_space(None).unwrap();
+    let (inbox, rx) = sys.inbox();
+    let m = sys.spawn(from_fn(move |ctx, msg| {
+        ctx.send_addr(inbox, msg.body);
+    }));
+    sys.make_visible(m.id(), &path("grp/x"), space, None)
+        .unwrap();
+    for i in 0..50 {
+        sys.broadcast(&pattern("grp/*"), space, Value::int(i), None)
+            .unwrap();
+    }
+    let mut got: Vec<i64> = (0..50)
+        .map(|_| rx.recv_timeout(TIMEOUT).unwrap().body.as_int().unwrap())
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, (0..50).collect::<Vec<i64>>());
+    assert!(sys.await_idle(TIMEOUT));
+    assert!(rx.try_recv().is_err(), "a broadcast was delivered twice");
+    sys.shutdown();
+}
+
 #[test]
 fn suspended_message_released_by_late_arrival() {
     let sys = system();

@@ -72,4 +72,7 @@ echo "==> cluster view smoke (remote observer under churn must self-check)"
 CLUSTER_OBSERVE_MS=1500 cargo run --release --example cluster_observe | tee /tmp/cluster_observe.out
 grep -q "CLUSTER OBS OK" /tmp/cluster_observe.out
 
+echo "==> line count (non-test lines per crate; a report, not a gate)"
+scripts/loc.sh || echo "line count failed (not a gate)"
+
 echo "CI gate passed."

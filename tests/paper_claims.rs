@@ -143,29 +143,53 @@ fn s3_group_membership_changes_are_transparent() {
     system.shutdown();
 }
 
-/// §5: attributes embed in a description lattice — generalization and
-/// specialization by disjunction/conjunction, with exact subsumption.
+/// §5: attributes embed in a description lattice — a more general
+/// description denotes more actors, and a disjunction of descriptions
+/// denotes the union of what each denotes. Checked on what the system does
+/// with descriptions: resolution in a populated space, including an actor
+/// reached through a nested space (§7.1).
 #[test]
 fn s5_description_lattice() {
-    use actorspace::pattern::lattice;
-    let any_math = pattern("srv/math/**");
-    let fib_or_fact = pattern("srv/math/{fib, fact}");
-    let fib = pattern("srv/math/fib");
-    assert!(lattice::subsumes(&any_math, &fib_or_fact));
-    assert!(lattice::subsumes(&fib_or_fact, &fib));
-    assert!(!lattice::subsumes(&fib, &fib_or_fact));
-    // join generalizes, meet specializes.
-    let joined = lattice::join(&fib, &pattern("srv/math/fact"));
-    assert!(lattice::equivalent(&joined, &fib_or_fact));
-    let met = lattice::meet(any_math.nfa(), fib_or_fact.nfa());
-    assert!(actorspace::pattern::matcher::matches(
-        &met,
-        path("srv/math/fib").atoms()
-    ));
-    assert!(!actorspace::pattern::matcher::matches(
-        &met,
-        path("srv/text/upper").atoms()
-    ));
+    use std::collections::BTreeSet;
+    let system = ActorSystem::new(Config::default());
+    let top = system.create_space(None).unwrap();
+    let math = system.create_space(None).unwrap();
+    system
+        .make_visible(math, &path("srv/math"), top, None)
+        .unwrap();
+    let spawn = |attr: &str, space| {
+        let a = system.spawn(from_fn(|_ctx, _msg| {}));
+        system
+            .make_visible(a.id(), &path(attr), space, None)
+            .unwrap();
+        a.leak()
+    };
+    spawn("srv/math/fib", top);
+    spawn("fib", math);
+    spawn("fact", math);
+    spawn("sqrt", math);
+    spawn("srv/text/upper", top);
+    let recipients = |p: &str| -> BTreeSet<ActorId> {
+        system
+            .resolve(&pattern(p), top)
+            .unwrap()
+            .into_iter()
+            .collect()
+    };
+    let any_math = recipients("srv/math/**");
+    let fib_or_fact = recipients("srv/math/{fib, fact}");
+    let fib = recipients("srv/math/fib");
+    let fact = recipients("srv/math/fact");
+    // Generalization: each description covers the more specific one, and
+    // strictly so here.
+    assert_eq!(fib.len(), 2);
+    assert!(fib.is_subset(&fib_or_fact) && fib != fib_or_fact);
+    assert!(fib_or_fact.is_subset(&any_math) && fib_or_fact != any_math);
+    // Disjunction denotes the union.
+    assert_eq!(fib_or_fact, &fib | &fact);
+    // Nothing outside `srv/math` is reached.
+    assert!(any_math.is_disjoint(&recipients("srv/text/*")));
+    system.shutdown();
 }
 
 /// §5.2: "actorSpaces can be referred to by their actorSpace mail address
